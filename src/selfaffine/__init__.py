@@ -9,6 +9,8 @@ family N K = K + {0, d}.
 """
 __version__ = "0.1.0"
 
+import types
+
 from .attractor import (
     LABEL_BOUNDARY,
     LABEL_INCONCLUSIVE,
@@ -107,4 +109,5 @@ from .sdensity import (
 # the CLI module imports __version__, so it must come last
 from .cli import main, parse_pair_spec, render_pair_spec
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names imported above, not the submodules
+__all__ = [n for n, v in vars().items() if n[0] != "_" and not isinstance(v, types.ModuleType)]

@@ -9,6 +9,7 @@ estimate.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,7 @@ from .errors import (
     NoTrustedLowerEntry,
     NotATileCandidate,
     ResolutionTooSmall,
+    SelfAffineError,
     UnsupportedDimension,
     UnsupportedRegime,
 )
@@ -28,7 +30,8 @@ from .expansion import (
     collision_witness,
     expand_level,
 )
-from .pairs import REGIME_FRACTAL, REGIME_TILE, SelfAffinePair
+from .pairs import REGIME_FRACTAL, REGIME_TILE, SelfAffinePair, _inf_norm
+from .pointset import _prefix_sums
 
 MIN_RESOLUTION = 16
 DEFAULT_MAX_ITERS = 256
@@ -106,18 +109,12 @@ def invariant_radius(pair: SelfAffinePair) -> float:
     norm_sum = 0.0
     for _ in range(p):
         power = power @ inv
-        norm_sum += float(np.abs(power).sum(axis=1).max())
+        norm_sum += _inf_norm(power)
     gamma = pair.matrix.contraction_norm
     max_digit = float(np.max(np.abs(pair.digits.vectors)))
     if max_digit == 0.0:
         return 1.0
     return max_digit * norm_sum / (1.0 - gamma)
-
-
-def _prefix_2d(mask: np.ndarray) -> np.ndarray:
-    s = np.zeros((mask.shape[0] + 1, mask.shape[1] + 1), dtype=np.int64)
-    s[1:, 1:] = mask.cumsum(axis=0).cumsum(axis=1)
-    return s
 
 
 def raster_attractor(
@@ -146,50 +143,36 @@ def raster_attractor(
     digits = pair.digits.vectors
     centers = lo + (np.arange(resolution) + 0.5) * h
 
+    dim = pair.dim
+    grids = np.meshgrid(*[centers] * dim, indexing="ij")
+    images = [sum(b[a, k] * grids[k] for k in range(dim)) for a in range(dim)]
+    # half-extent of a cell's image, dilated by one cell
+    ext = np.abs(b) @ np.full(dim, h / 2) + h
+    occ = np.ones((resolution,) * dim, dtype=bool)
     converged = False
     iterations = 0
-    if pair.dim == 1:
-        occ = np.ones(resolution, dtype=bool)
-        ext = abs(float(b[0, 0])) * h / 2 + h  # half-extent of image, dilated
-        img = float(b[0, 0]) * centers
-        for iterations in range(1, max_iters + 1):
-            pref = np.concatenate([[0], np.cumsum(occ)])
-            new = np.zeros_like(occ)
-            for d in digits:
-                c = img - d[0]
-                ilo = np.clip(np.floor((c - ext - lo) / h).astype(np.int64), 0, resolution)
-                ihi = np.clip(np.ceil((c + ext - lo) / h).astype(np.int64), 0, resolution)
-                new |= (pref[ihi] - pref[ilo]) > 0
-            new &= occ
-            if np.array_equal(new, occ):
-                converged = True
-                break
-            occ = new
-    else:
-        occ = np.ones((resolution, resolution), dtype=bool)
-        x, y = np.meshgrid(centers, centers, indexing="ij")
-        img_x = b[0, 0] * x + b[0, 1] * y
-        img_y = b[1, 0] * x + b[1, 1] * y
-        half = np.abs(b) @ np.array([h / 2, h / 2])
-        ext_x = float(half[0]) + h
-        ext_y = float(half[1]) + h
-        for iterations in range(1, max_iters + 1):
-            s = _prefix_2d(occ)
-            new = np.zeros_like(occ)
-            for d in digits:
-                cx = img_x - d[0]
-                cy = img_y - d[1]
-                ilo = np.clip(np.floor((cx - ext_x - lo) / h).astype(np.int64), 0, resolution)
-                ihi = np.clip(np.ceil((cx + ext_x - lo) / h).astype(np.int64), 0, resolution)
-                jlo = np.clip(np.floor((cy - ext_y - lo) / h).astype(np.int64), 0, resolution)
-                jhi = np.clip(np.ceil((cy + ext_y - lo) / h).astype(np.int64), 0, resolution)
-                cnt = s[ihi, jhi] - s[ilo, jhi] - s[ihi, jlo] + s[ilo, jlo]
-                new |= cnt > 0
-            new &= occ
-            if np.array_equal(new, occ):
-                converged = True
-                break
-            occ = new
+    for iterations in range(1, max_iters + 1):
+        s = _prefix_sums(occ)
+        new = np.zeros_like(occ)
+        for d in digits:
+            bounds = []
+            for a in range(dim):
+                c = images[a] - d[a]
+                bounds.append((
+                    np.clip(np.floor((c - ext[a] - lo) / h).astype(np.int64), 0, resolution),
+                    np.clip(np.ceil((c + ext[a] - lo) / h).astype(np.int64), 0, resolution),
+                ))
+            # occupied cells in the index box, by inclusion-exclusion over its corners
+            count = 0
+            for corner in itertools.product((1, 0), repeat=dim):
+                term = s[tuple(bounds[a][corner[a]] for a in range(dim))]
+                count = count + term if sum(corner) % 2 == dim % 2 else count - term
+            new |= count > 0
+        new &= occ
+        if np.array_equal(new, occ):
+            converged = True
+            break
+        occ = new
 
     occ.flags.writeable = False
     grid = RasterGrid(dim=pair.dim, radius=radius, resolution=resolution, cells=occ)
@@ -283,7 +266,6 @@ def osc_verdict(pair: SelfAffinePair, k: int, cap: int = DEFAULT_CAP) -> OscRepo
     separations = []
     first_collision = None
     witness = None
-    pts = None
     for level in range(1, k + 1):
         pts = expand_level(pair, level, cap)
         report = analyze_expansion(pts, pair.m, level)
@@ -296,37 +278,29 @@ def osc_verdict(pair: SelfAffinePair, k: int, cap: int = DEFAULT_CAP) -> OscRepo
             first_collision = (level, value, mult)
             try:
                 witness = collision_witness(pair, point, level, copies=2, cap=cap)
-            except Exception:
+            except (SelfAffineError, ValueError):
                 witness = None
             break
 
     if first_collision is not None:
-        return OscReport(
-            level=k,
-            collision_free=False,
-            first_collision=first_collision,
-            witness=witness,
-            min_separation_by_level=tuple(separations),
-            separation_stabilized=False,
-            density_bounded=False,
-            verdict=VERDICT_FAILS,
-        )
-
-    seps = [s for _, s in separations]
-    stabilized = len(seps) >= 3 and max(seps[-3:]) - min(seps[-3:]) <= SEPARATION_TOL
-    profile = upper_density_profile(pts, natural_schedule(pts), level=k)
-    bounded = not trend_divergent([e.sup_value for e in profile.entries])
-    if not bounded:
+        stabilized = bounded = False
         verdict = VERDICT_FAILS
-    elif stabilized:
-        verdict = VERDICT_CONSISTENT
     else:
-        verdict = VERDICT_UNDETERMINED
+        seps = [s for _, s in separations]
+        stabilized = len(seps) >= 3 and max(seps[-3:]) - min(seps[-3:]) <= SEPARATION_TOL
+        profile = upper_density_profile(pts, natural_schedule(pts), level=k)
+        bounded = not trend_divergent([e.sup_value for e in profile.entries])
+        if not bounded:
+            verdict = VERDICT_FAILS
+        elif stabilized:
+            verdict = VERDICT_CONSISTENT
+        else:
+            verdict = VERDICT_UNDETERMINED
     return OscReport(
         level=k,
-        collision_free=True,
-        first_collision=None,
-        witness=None,
+        collision_free=first_collision is None,
+        first_collision=first_collision,
+        witness=witness,
         min_separation_by_level=tuple(separations),
         separation_stabilized=stabilized,
         density_bounded=bounded,

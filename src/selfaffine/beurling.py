@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularMatrix, UnsupportedDimension
-from .pointset import WeightedPointSet, prefix_weights
+from .pointset import WeightedPointSet, _interval_counts, _prefix_sums
 
 #: Relative tolerance for closed-window boundary membership.
 BOUNDARY_TOL = 1e-12
@@ -88,13 +88,17 @@ class MeasureResult:
     divergent: bool
 
 
-def natural_schedule(pts: WeightedPointSet, count: int = NATURAL_SCHEDULE_LEN) -> WindowSchedule:
-    """Geometric ratio-2 schedule whose largest size is half the support extent."""
+def _natural_ladder(pts: WeightedPointSet, count: int, top: float) -> tuple[float, ...]:
+    """``count`` scales in ratio 2, the largest ``top`` times the widest axis span."""
     extent = float(np.max(pts.points.max(axis=0) - pts.points.min(axis=0)))
     if extent <= 0:
-        raise ValueError("support extent is zero; no natural window scale")
-    top = extent / 2.0
-    return WindowSchedule(tuple(top / 2 ** (count - 1 - i) for i in range(count)))
+        raise ValueError("support extent is zero; no natural scale")
+    return tuple(extent * top / 2 ** (count - 1 - i) for i in range(count))
+
+
+def natural_schedule(pts: WeightedPointSet, count: int = NATURAL_SCHEDULE_LEN) -> WindowSchedule:
+    """Geometric ratio-2 schedule whose largest size is half the support extent."""
+    return WindowSchedule(_natural_ladder(pts, count, 0.5))
 
 
 def _require_dim(pts: WeightedPointSet, op: str) -> int:
@@ -103,36 +107,39 @@ def _require_dim(pts: WeightedPointSet, op: str) -> int:
     return pts.dim
 
 
-def _sup_1d(xs: np.ndarray, pref: np.ndarray, size: float):
-    tol = BOUNDARY_TOL * size
-    hi = np.searchsorted(xs, xs + (size + tol), side="right")
-    counts = pref[hi] - pref[: len(xs)]
-    i = int(np.argmax(counts))  # first maximum: smallest anchor wins ties
-    return int(counts[i]), (float(xs[i] + size / 2),)
+def _sorted_slab(points: np.ndarray, weights: np.ndarray, lo: int, hi: int):
+    """Last coordinates of rows lo:hi in increasing order, with their prefix weights."""
+    ys, ws = points[lo:hi, -1], weights[lo:hi]
+    if points.shape[1] > 1:  # canonical order already sorts a 1-D set
+        order = np.argsort(ys, kind="stable")
+        ys, ws = ys[order], ws[order]
+    return ys, _prefix_sums(ws)
 
 
-def _sup_2d(points: np.ndarray, weights: np.ndarray, size: float):
+def _sup_scan(pts: WeightedPointSet, size: float):
+    """Largest weight of a window with its lower corner at a point, and the window centre.
+
+    In 2-D each distinct corner x cuts the slab of points with x in
+    [x, x + size], along which the window slides in y.  The first maximum
+    in scan order wins ties.
+    """
     tol = BOUNDARY_TOL * size
-    xs = points[:, 0]
-    ys = points[:, 1]
-    hi_x = np.searchsorted(xs, xs + (size + tol), side="right")
+    xs = pts.points[:, 0]
+    if pts.dim == 1:
+        slabs = [(0, len(pts))]
+    else:
+        hi_x = np.searchsorted(xs, xs + (size + tol), side="right")
+        slabs = [(i, hi_x[i]) for i in range(len(xs)) if i == 0 or xs[i] != xs[i - 1]]
     best = -1
     best_center = None
-    for i in range(len(points)):
-        if i > 0 and xs[i] == xs[i - 1]:
-            continue  # same x-slab as the previous anchor
-        hi = hi_x[i]
-        slab_y = ys[i:hi]
-        slab_w = weights[i:hi]
-        order = np.argsort(slab_y, kind="stable")
-        sy = slab_y[order]
-        pref = np.concatenate([[0], np.cumsum(slab_w[order])])
-        hi_y = np.searchsorted(sy, sy + (size + tol), side="right")
-        counts = pref[hi_y] - pref[: len(sy)]
+    for lo, hi in slabs:
+        line, pref = _sorted_slab(pts.points, pts.weights, lo, hi)
+        counts = pref[np.searchsorted(line, line + (size + tol), side="right")] - pref[:-1]
         j = int(np.argmax(counts))
         if counts[j] > best:
             best = int(counts[j])
-            best_center = (float(xs[i] + size / 2), float(sy[j] + size / 2))
+            anchor = (float(xs[lo] + size / 2),) if pts.dim == 2 else ()
+            best_center = anchor + (float(line[j] + size / 2),)
     return best, best_center
 
 
@@ -147,43 +154,22 @@ def upper_density_profile(
     """
     dim = _require_dim(pts, "upper_density_profile")
     entries = []
-    if dim == 1:
-        xs = pts.coords()
-        pref = prefix_weights(pts)
-        for size in schedule.sizes:
-            count, center = _sup_1d(xs, pref, size)
-            entries.append(
-                WindowEntry(
-                    size=size,
-                    sup_count=count,
-                    sup_value=count / size,
-                    argmax_center=center,
-                )
+    for size in schedule.sizes:
+        count, center = _sup_scan(pts, size)
+        entries.append(
+            WindowEntry(
+                size=size,
+                sup_count=count,
+                sup_value=count / size**dim,
+                argmax_center=center,
             )
-    else:
-        for size in schedule.sizes:
-            count, center = _sup_2d(pts.points, pts.weights, size)
-            entries.append(
-                WindowEntry(
-                    size=size,
-                    sup_count=count,
-                    sup_value=count / size**2,
-                    argmax_center=center,
-                )
-            )
+        )
     return DensityEstimate(
         dim=dim,
         entries=tuple(entries),
         level=level,
         max_multiplicity=int(pts.weights.max()),
     )
-
-
-def _counts_at_1d(xs, pref, centers, size):
-    tol = BOUNDARY_TOL * size
-    lo = np.searchsorted(xs, centers - size / 2 - tol, side="left")
-    hi = np.searchsorted(xs, centers + size / 2 + tol, side="right")
-    return pref[hi] - pref[lo]
 
 
 def _candidate_centers(breaks: np.ndarray, zlo: float, zhi: float) -> np.ndarray:
@@ -193,80 +179,43 @@ def _candidate_centers(breaks: np.ndarray, zlo: float, zhi: float) -> np.ndarray
     return np.concatenate([[zlo], (grid[:-1] + grid[1:]) / 2.0, [zhi]])
 
 
-def _inf_1d(pts, nxt, size, zlo, zhi):
-    xs = pts.coords()
-    pref = prefix_weights(pts)
-    breaks = np.concatenate([xs - size / 2, xs + size / 2])
-    if nxt is not None:
-        xs2 = nxt.coords()
-        pref2 = prefix_weights(nxt)
-        breaks = np.concatenate([breaks, xs2 - size / 2, xs2 + size / 2])
-    centers = _candidate_centers(breaks, zlo, zhi)
-    counts = _counts_at_1d(xs, pref, centers, size)
-    if nxt is None:
-        stable = np.ones(len(centers), dtype=bool)
-        any_stable = False
-    else:
-        stable = counts == _counts_at_1d(xs2, pref2, centers, size)
-        any_stable = bool(stable.any())
-        if not any_stable:
-            stable = np.ones(len(centers), dtype=bool)
-    pool = np.where(stable)[0]
-    j = pool[int(np.argmin(counts[pool]))]
-    return int(counts[j]), (float(centers[j]),), any_stable
+def _inf_scan(pts, nxt, size, zlo, zhi):
+    """Least window count over the candidate centres, preferring stable windows.
 
-
-def _inf_2d(pts, nxt, size, zlo, zhi):
-    pointsets = [pts] if nxt is None else [pts, nxt]
-    cx = np.concatenate(
-        [np.concatenate([q.points[:, 0] - size / 2, q.points[:, 0] + size / 2]) for q in pointsets]
-    )
-    cy = np.concatenate(
-        [np.concatenate([q.points[:, 1] - size / 2, q.points[:, 1] + size / 2]) for q in pointsets]
-    )
-    centers_x = _candidate_centers(cx, zlo[0], zhi[0])
-    centers_y = _candidate_centers(cy, zlo[1], zhi[1])
+    The last axis is scanned along lines: the whole set in 1-D, and in 2-D
+    the slab of points whose x lies in the window, for each candidate x.
+    """
+    sets = [pts] if nxt is None else [pts, nxt]
+    centers = []
+    for a in range(pts.dim):
+        breaks = np.concatenate([q.points[:, a] + h for q in sets for h in (-size / 2, size / 2)])
+        centers.append(_candidate_centers(breaks, zlo[a], zhi[a]))
     tol = BOUNDARY_TOL * size
+    lows = [c - size / 2 - tol for c in centers]
+    highs = [c + size / 2 + tol for c in centers]
 
-    def slab_counts(q, x):
-        """Counts at (x, centers_y) for every y center, one x-slab at a time."""
-        px = q.points[:, 0]
-        lo = np.searchsorted(px, x - size / 2 - tol, side="left")
-        hi = np.searchsorted(px, x + size / 2 + tol, side="right")
-        sy = np.sort(q.points[:, 1][lo:hi], kind="stable")
-        wy = q.weights[lo:hi][np.argsort(q.points[:, 1][lo:hi], kind="stable")]
-        pref = np.concatenate([[0], np.cumsum(wy)])
-        ylo = np.searchsorted(sy, centers_y - size / 2 - tol, side="left")
-        yhi = np.searchsorted(sy, centers_y + size / 2 + tol, side="right")
-        return pref[yhi] - pref[ylo]
+    def line_counts(q, i):
+        """Counts at (x centre i, each last-axis centre); i is None in 1-D."""
+        lo, hi = 0, len(q)
+        if i is not None:
+            lo = np.searchsorted(q.points[:, 0], lows[0][i], side="left")
+            hi = np.searchsorted(q.points[:, 0], highs[0][i], side="right")
+        line, pref = _sorted_slab(q.points, q.weights, lo, hi)
+        return _interval_counts(line, pref, lows[-1], highs[-1])
 
+    # stable windows rank before unstable ones, then by count, then first in scan order
+    unstable_offset = pts.total_mass + 1
     best = None
-    best_center = None
-    any_stable = False
-    fallback = None
-    fallback_center = None
-    for x in centers_x:
-        counts = slab_counts(pts, x)
-        if nxt is None:
-            stable = np.ones(len(counts), dtype=bool)
-        else:
-            stable = counts == slab_counts(nxt, x)
-        pool = np.where(stable)[0]
-        if len(pool):
-            any_stable = any_stable or nxt is not None
-            j = pool[int(np.argmin(counts[pool]))]
-            if best is None or counts[j] < best:
-                best = int(counts[j])
-                best_center = (float(x), float(centers_y[j]))
-        j = int(np.argmin(counts))
-        if fallback is None or counts[j] < fallback:
-            fallback = int(counts[j])
-            fallback_center = (float(x), float(centers_y[j]))
-    if nxt is not None and not any_stable:
-        return fallback, fallback_center, False
-    if nxt is None:
-        return fallback, fallback_center, False
-    return best, best_center, True
+    for i in range(len(centers[0])) if pts.dim == 2 else [None]:
+        counts = line_counts(pts, i)
+        stable = np.zeros(len(counts), bool) if nxt is None else counts == line_counts(nxt, i)
+        rank = np.where(stable, counts, counts + unstable_offset)
+        j = int(np.argmin(rank))
+        if best is None or rank[j] < best[0]:
+            at = (j,) if i is None else (i, j)
+            center = tuple(float(c[k]) for c, k in zip(centers, at))
+            best = (rank[j], int(counts[j]), center, bool(stable[j]))
+    return best[1:]
 
 
 def lower_density_profile(
@@ -294,14 +243,9 @@ def lower_density_profile(
     for size in schedule.sizes:
         if np.any(2 * radius < size):
             continue
-        zlo = -radius + size / 2
-        zhi = radius - size / 2
-        if dim == 1:
-            count, center, trusted = _inf_1d(
-                pts, next_level_pts, size, float(zlo[0]), float(zhi[0])
-            )
-        else:
-            count, center, trusted = _inf_2d(pts, next_level_pts, size, zlo, zhi)
+        count, center, trusted = _inf_scan(
+            pts, next_level_pts, size, -radius + size / 2, radius - size / 2
+        )
         entries.append(
             WindowEntry(
                 size=size,
@@ -327,22 +271,29 @@ def trend_divergent(values) -> bool:
     return vals[-3] < vals[-2] < vals[-1] and vals[-1] > 10 * vals[0]
 
 
+def _reciprocal_measure(values: list[float], max_multiplicity: int) -> MeasureResult:
+    """Reciprocal of the last sup density value, or zero when flagged divergent.
+
+    Divergence is certified by a collision in the underlying expansion (a
+    point of multiplicity >= 2 doubles along its amplification sequence, so
+    the true sup is infinite) or flagged when the sup values are still
+    growing at the largest scales.
+    """
+    if not values:
+        raise ValueError("profile has no sup entries")
+    if max_multiplicity >= 2 or trend_divergent(values):
+        return MeasureResult(value=0.0, divergent=True)
+    return MeasureResult(value=1.0 / values[-1], divergent=False)
+
+
 def lebesgue_from_density(profile: DensityEstimate) -> MeasureResult:
     """Reciprocal of the sup density at the largest window size.
 
     Returns zero with the divergent flag when the profile certifies an
-    unbounded density: either a collision in the underlying expansion (a
-    point of multiplicity >= 2 doubles along its amplification sequence, so
-    the true sup is infinite) or sup values still growing with window size
-    at the largest scales.
+    unbounded density (see ``_reciprocal_measure``).
     """
-    sup_entries = [e for e in profile.entries if e.sup_value is not None]
-    if not sup_entries:
-        raise ValueError("profile has no sup entries")
-    values = [e.sup_value for e in sup_entries]
-    if profile.max_multiplicity >= 2 or trend_divergent(values):
-        return MeasureResult(value=0.0, divergent=True)
-    return MeasureResult(value=1.0 / values[-1], divergent=False)
+    values = [e.sup_value for e in profile.entries if e.sup_value is not None]
+    return _reciprocal_measure(values, profile.max_multiplicity)
 
 
 def rescale_points(pts: WeightedPointSet, matrix) -> WeightedPointSet:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, InvalidCoefficient
+from .errors import InvalidCoefficient
 from .expansion import DEFAULT_CAP, expand_level
 from .pairs import SelfAffinePair, validate_pair
 from .pointset import prefix_weights, weight_in_interval

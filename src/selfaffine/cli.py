@@ -141,44 +141,28 @@ def _load_pair(path: str) -> SelfAffinePair:
     return parse_pair_spec(text)
 
 
-def _parse_schedule_spec(spec: str):
+def _resolve_sizes(spec: str, natural) -> tuple[float, ...]:
+    """Window sizes or thresholds of a schedule spec; ``natural(count)`` builds natural:count."""
     kind, _, rest = spec.partition(":")
     try:
         if kind in ("geo", "lin"):
             a, b, c = rest.split(",")
             start, stop, count = float(a), float(b), int(c)
-            if count < 1 or start <= 0 or (count > 1 and stop <= start):
-                raise ValueError
-            return kind, (start, stop, count)
-        if kind == "natural":
+            valid = not (count < 1 or start <= 0 or (count > 1 and stop <= start))
+        else:
             count = int(rest)
-            if count < 1:
-                raise ValueError
-            return kind, (count,)
+            valid = kind == "natural" and count >= 1
     except (TypeError, ValueError):
-        pass
-    raise UsageError(
-        f"bad schedule {spec!r}; use geo:start,stop,count, lin:start,stop,count,"
-        " or natural:count"
-    )
-
-
-def _resolve_schedule(spec: str, pts) -> WindowSchedule:
-    kind, params = _parse_schedule_spec(spec)
-    if kind == "geo":
-        return WindowSchedule.geometric(*params)
-    if kind == "lin":
-        return WindowSchedule.linear(*params)
-    return natural_schedule(pts, params[0])
-
-
-def _resolve_thresholds(spec: str, pts) -> tuple[float, ...]:
-    kind, params = _parse_schedule_spec(spec)
-    if kind == "geo":
-        return WindowSchedule.geometric(*params).sizes
-    if kind == "lin":
-        return WindowSchedule.linear(*params).sizes
-    return natural_thresholds(pts, params[0])
+        valid = False
+    if not valid:
+        raise UsageError(
+            f"bad schedule {spec!r}; use geo:start,stop,count, lin:start,stop,count,"
+            " or natural:count"
+        )
+    if kind == "natural":
+        return tuple(natural(count))
+    build = WindowSchedule.geometric if kind == "geo" else WindowSchedule.linear
+    return build(start, stop, count).sizes
 
 
 def _preamble(command: str, resolved: dict) -> list[str]:
@@ -252,7 +236,9 @@ def _density_rows(dim: int, upper, lower) -> list[str]:
 def _profiles(pair, args):
     """Expansion plus upper/lower profiles on the resolved schedule."""
     pts = expand_level(pair, args.level, args.cap)
-    schedule = _resolve_schedule(args.windows, pts)
+    schedule = WindowSchedule(
+        _resolve_sizes(args.windows, lambda count: natural_schedule(pts, count).sizes)
+    )
     upper = upper_density_profile(pts, schedule, level=args.level)
     try:
         nxt = expand_level(pair, args.level + 1, args.cap)
@@ -290,7 +276,7 @@ def _cmd_sdensity(args) -> str:
     else:
         raise UsageError("pair is not a similarity; supply --s explicitly")
     pts = expand_level(pair, args.level, args.cap)
-    thresholds = _resolve_thresholds(args.thresholds, pts)
+    thresholds = _resolve_sizes(args.thresholds, lambda count: natural_thresholds(pts, count))
     profile = upper_s_density_profile(pts, s, thresholds, level=args.level)
     measure = hausdorff_from_sdensity(profile)
     lines = _preamble(
@@ -363,6 +349,8 @@ def _cmd_cantor(args) -> str:
 
 def _cmd_raster(args) -> str:
     pair = _load_pair(args.pair)
+    if args.resolution**pair.dim > args.cap:
+        raise BudgetExceeded(f"raster {args.resolution}**{pair.dim} cells exceed cap {args.cap}")
     grid, estimate = raster_attractor(pair, args.resolution, args.max_iters)
     comments = (
         f"selfaffine {__version__}",
@@ -528,7 +516,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except SelfAffineError as exc:
+    except (SelfAffineError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.output is None:

@@ -33,17 +33,13 @@ def _canonicalize(points: np.ndarray, weights: np.ndarray):
             f"coordinate magnitude exceeds supported merge scale ({_MAX_ABS_COORD:g})"
         )
     keys = np.round(points / MERGE_TOL).astype(np.int64)
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    merged = np.zeros(len(uniq), dtype=np.int64)
-    np.add.at(merged, inverse, weights)
-    order = np.lexsort(points.T[::-1])
-    rank = np.empty(len(points), dtype=np.int64)
-    rank[order] = np.arange(len(points))
-    min_rank = np.full(len(uniq), len(points), dtype=np.int64)
-    np.minimum.at(min_rank, inverse, rank)
-    reps = points[order][min_rank]
-    return reps, merged
+    # one sort by key, then by coordinates: each key group starts at its smallest member
+    order = np.lexsort((*points.T[::-1], *keys.T[::-1]))
+    keys = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = np.any(keys[1:] != keys[:-1], axis=1)
+    starts = np.flatnonzero(first)
+    return points[order[starts]], np.add.reduceat(weights[order], starts).astype(np.int64)
 
 
 class WeightedPointSet:
@@ -147,15 +143,28 @@ class WeightedPointSet:
         return int(self.weights[hit].sum())
 
 
+def _prefix_sums(counts: np.ndarray) -> np.ndarray:
+    """Cumulative sums along every axis, with a leading zero on each."""
+    s = np.zeros(tuple(n + 1 for n in counts.shape), dtype=np.int64)
+    inner = counts
+    for axis in range(counts.ndim):
+        inner = inner.cumsum(axis=axis)
+    s[(slice(1, None),) * counts.ndim] = inner
+    return s
+
+
 def prefix_weights(ps: WeightedPointSet) -> np.ndarray:
     """Cumulative weights with a leading zero; pairs with canonical order."""
-    return np.concatenate([[0], np.cumsum(ps.weights)])
+    return _prefix_sums(ps.weights)
+
+
+def _interval_counts(xs: np.ndarray, pref: np.ndarray, lows, highs):
+    """Weight in each closed [lows[i], highs[i]] of sorted points xs with prefix weights pref."""
+    lo = np.searchsorted(xs, lows, side="left")
+    hi = np.searchsorted(xs, highs, side="right")
+    return pref[hi] - pref[lo]
 
 
 def weight_in_interval(ps: WeightedPointSet, a: float, b: float, tol: float = MERGE_TOL) -> int:
     """Total weight in the closed interval [a, b] of a 1-D set."""
-    xs = ps.coords()
-    pref = prefix_weights(ps)
-    lo = np.searchsorted(xs, a - tol, side="left")
-    hi = np.searchsorted(xs, b + tol, side="right")
-    return int(pref[hi] - pref[lo])
+    return int(_interval_counts(ps.coords(), prefix_weights(ps), a - tol, b + tol))

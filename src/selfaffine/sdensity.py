@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beurling import MeasureResult, trend_divergent
-from .errors import BudgetExceeded, DimensionMismatch, UnsupportedDimension
-from .expansion import DEFAULT_CAP, expand_level
+from .beurling import MeasureResult, _natural_ladder, _reciprocal_measure
+from .errors import DimensionMismatch, UnsupportedDimension
+from .expansion import DEFAULT_CAP, _check_budget, expand_level
 from .pairs import SelfAffinePair
 from .pointset import (
     WeightedPointSet,
@@ -64,11 +64,7 @@ class RenormCheck:
 
 def natural_thresholds(pts: WeightedPointSet, count: int = 9):
     """Geometric ratio-2 thresholds whose largest value is the support extent."""
-    xs = pts.coords()
-    extent = float(xs[-1] - xs[0])
-    if extent <= 0:
-        raise ValueError("support extent is zero; no natural threshold scale")
-    return tuple(extent / 2 ** (count - 1 - i) for i in range(count))
+    return _natural_ladder(pts, count, 1.0)
 
 
 def interval_value(pts: WeightedPointSet, a: float, b: float, s: float) -> float:
@@ -142,12 +138,7 @@ def hausdorff_from_sdensity(profile: SDensityEstimate) -> MeasureResult:
     infinite s-density (multiplicities amplify without bound), and a growing
     tail of sup values is flagged as well.
     """
-    if not profile.entries:
-        raise ValueError("profile has no entries")
-    values = [e.sup_value for e in profile.entries]
-    if profile.max_multiplicity >= 2 or trend_divergent(values):
-        return MeasureResult(value=0.0, divergent=True)
-    return MeasureResult(value=1.0 / values[-1], divergent=False)
+    return _reciprocal_measure([e.sup_value for e in profile.entries], profile.max_multiplicity)
 
 
 def discrete_convolve(a: WeightedPointSet, b: WeightedPointSet) -> WeightedPointSet:
@@ -251,8 +242,7 @@ def check_renormalization(
         raise ValueError("n_steps must be at least 1")
     if sample.dim != pair.dim:
         raise DimensionMismatch("sample dimension differs from pair dimension")
-    if pair.m**n_steps > cap:
-        raise BudgetExceeded(f"level {n_steps} enumeration exceeds cap {cap}")
+    _check_budget(pair.m, n_steps, cap)
     lo, hi = window
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))

@@ -349,3 +349,35 @@ def test_rendered_spec_runs_through_the_cli(pair_file):
     pair = parse_pair_spec(DRAGON)
     path = pair_file(render_pair_spec(pair), name="rendered.txt")
     assert run("expand", "--pair", path, "--level", "2").returncode == 0
+
+
+def test_raster_resolution_beyond_cap_is_domain_error(pair_file):
+    path = pair_file(DOUBLING)
+    # 10**8 cells would take minutes; the cap refuses them before any work
+    result = run("raster", "--pair", path, "--resolution", "100000000")
+    assert result.returncode == 1
+    assert "exceed cap" in result.stderr
+    assert run("raster", "--pair", path, "--resolution", "16", "--cap", "15").returncode == 1
+    assert run("raster", "--pair", path, "--resolution", "16", "--cap", "16").returncode == 0
+
+
+SINGLE_DIGIT = "dim 1\nmatrix\n2\ndigits\n0\n"
+
+
+@pytest.mark.parametrize(
+    "text,argv",
+    [
+        (CANTOR, ("sdensity", "--level", "4", "--s", "2")),
+        (SINGLE_DIGIT, ("density", "--level", "3")),
+        (SINGLE_DIGIT, ("sdensity", "--level", "3")),
+        (SINGLE_DIGIT, ("check", "--level", "3")),
+        (CANTOR, ("expand", "--level", "21")),
+    ],
+    ids=["sdensity-s2", "density-single", "sdensity-single", "check-single", "expand-scale"],
+)
+def test_library_value_errors_exit_1_without_traceback(pair_file, text, argv):
+    path = pair_file(text)
+    result = run(argv[0], "--pair", path, *argv[1:])
+    assert result.returncode == 1
+    assert result.stderr.startswith("error:")
+    assert "Traceback" not in result.stderr

@@ -5,15 +5,19 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selfaffine import (
     BudgetExceeded,
     NotACollision,
+    WeightedPointSet,
     analyze_expansion,
     collision_witness,
     expand_level,
     validate_pair,
 )
+from selfaffine.expansion import _min_separation
 
 
 def brute_expansions(matrix, digits, k):
@@ -165,3 +169,49 @@ def test_witness_unverified_when_over_budget(collision_pair):
     assert w.bound == 2**12
     assert not w.verified
     assert w.observed_multiplicity is None
+
+
+def brute_min_separation(points):
+    """O(n^2) minimum over all pairs, squared differences summed axis by axis."""
+    i, j = np.triu_indices(len(points), 1)
+    diff = points[i] - points[j]
+    return float(np.sqrt(sum(diff[:, k] * diff[:, k] for k in range(points.shape[1])).min()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda dim: st.lists(
+            st.lists(
+                st.one_of(st.integers(-6, 6).map(float), st.floats(-50, 50)),
+                min_size=dim,
+                max_size=dim,
+            ),
+            min_size=2,
+            max_size=60,
+        )
+    )
+)
+def test_min_separation_matches_brute_force(rows):
+    pts = WeightedPointSet(np.array(rows))
+    expected = brute_min_separation(pts.points) if len(pts) > 1 else float("inf")
+    assert _min_separation(pts) == expected
+
+
+def test_min_separation_collinear_vertical():
+    # every point has x = 0, so a sweep along x alone would compare all pairs
+    pair = validate_pair([[3.0, 0.0], [0.0, 3.0]], [[0.0, 0.0], [0.0, 1.0]])
+    pts = expand_level(pair, 9)
+    assert np.all(pts.points[:, 0] == 0.0)
+    assert _min_separation(pts) == brute_min_separation(pts.points) == 1.0
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_min_separation_extreme_extent_ratio(dim):
+    rng = np.random.default_rng(dim)
+    near = rng.random((300, dim)) * 1e-3
+    far = rng.random((300, dim)) * 2e9
+    pts = WeightedPointSet(np.concatenate([near, far]))
+    sep = _min_separation(pts)
+    assert np.ptp(pts.points, axis=0).max() / sep >= 1e12
+    assert sep == brute_min_separation(pts.points)

@@ -121,3 +121,33 @@ def test_mass_is_input_count_for_unit_weights(values):
     assert len(ps) == len(set(values))
     diffs = np.diff(ps.points[:, 0])
     assert np.all(diffs > 0)
+
+
+_OFFSETS = (0.0, 1e-10, -1e-10, 4e-10, 5e-10, -5e-10, 1.5e-9)
+
+
+@given(
+    st.integers(min_value=1, max_value=3).flatmap(
+        lambda dim: st.lists(
+            st.tuples(
+                st.lists(st.integers(-3, 3), min_size=dim, max_size=dim),
+                st.lists(st.sampled_from(_OFFSETS), min_size=dim, max_size=dim),
+                st.integers(1, 5),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+)
+def test_merge_matches_grouping_by_key(rows):
+    points = np.array([np.add(base, offset) for base, offset, _ in rows], dtype=float)
+    weights = np.array([w for _, _, w in rows])
+    groups = {}
+    for p, w in zip(points, weights):
+        key = tuple(np.round(p / MERGE_TOL).astype(np.int64))
+        rep, total = groups.get(key, (tuple(p), 0))
+        groups[key] = (min(rep, tuple(p)), total + w)
+    expected = [groups[key] for key in sorted(groups)]
+    ps = WeightedPointSet(points, weights)
+    assert [tuple(p) for p in ps.points] == [rep for rep, _ in expected]
+    assert ps.weights.tolist() == [total for _, total in expected]
