@@ -36,7 +36,7 @@ from .cantor import (
     count_upto,
     translation_dominance_check,
 )
-from .errors import BudgetExceeded, ParseError, SelfAffineError
+from .errors import BudgetExceeded, ParseError, SelfAffineError, UnsupportedDimension
 from .expansion import DEFAULT_CAP, expand_level
 from .pairs import REGIME_TILE, SelfAffinePair, detect_similarity, validate_pair
 from .sdensity import (
@@ -275,6 +275,9 @@ def _cmd_sdensity(args) -> str:
         s, source = similarity.sim_dimension, "similarity"
     else:
         raise UsageError("pair is not a similarity; supply --s explicitly")
+    if pair.dim != 1:
+        # refuse before the expansion, which can be the costliest step
+        raise UnsupportedDimension("s-density scan supports dimension 1 only")
     pts = expand_level(pair, args.level, args.cap)
     thresholds = _resolve_sizes(args.thresholds, lambda count: natural_thresholds(pts, count))
     profile = upper_s_density_profile(pts, s, thresholds, level=args.level)

@@ -25,6 +25,9 @@ from .pointset import (
 #: Relative tolerance admitting intervals whose diameter sits at a threshold.
 THRESHOLD_TOL = 1e-12
 
+#: Interval values held at once by one block of the s-density scan.
+_SCAN_CELLS = 2**15
+
 
 @dataclass(frozen=True)
 class SDensityEntry:
@@ -84,45 +87,99 @@ def upper_s_density_profile(
 
     For each threshold r only intervals of diameter >= r compete, so the sup
     is nonincreasing in r.  Thresholds with no admissible interval (for
-    instance r beyond the support extent) produce no entry.
+    instance r beyond the support extent) produce no entry; a threshold that
+    is not positive raises ``ValueError``.
+
+    One pass over the left endpoints (anchors) serves every threshold.  The
+    anchors are taken in blocks of at most ``_SCAN_CELLS`` interval values,
+    or of one anchor whose row alone is longer.  Each anchor's values are
+    computed once, over the right ends admissible at the smallest threshold,
+    and split into the runs of right ends that each larger threshold gives
+    up, so a suffix maximum over the runs is every threshold's best for that
+    anchor.  Anchor i and all later anchors are pruned for threshold r once
+    (mass of the points from i on) / r^s is at most that threshold's best so
+    far, since no interval starting there can exceed it; the scan ends when
+    every threshold is pruned.  Ties go to the earliest anchor and then to
+    the earliest right end.
     """
     if pts.dim != 1:
         raise UnsupportedDimension("s-density scan supports dimension 1 only")
     if not 0 < s <= 1:
         raise ValueError("s must lie in (0, 1]")
+    rs = sorted(float(t) for t in thresholds)
+    if not all(r > 0 for r in rs):
+        raise ValueError("thresholds must be positive")
     xs = pts.coords()
     pref = prefix_weights(pts)
     total = pref[-1]
+    n, T = len(xs), len(rs)
+    r_adm = [r * (1.0 - THRESHOLD_TOL) for r in rs]
+    r_pow = np.array([r**s for r in r_adm])[:, None]
+    # first admissible right end per threshold (rows) and anchor (columns)
+    j0 = np.searchsorted(xs, xs + np.array(r_adm)[:, None], side="left")
+    best = np.full(T, -np.inf)
+    winner = np.zeros(T, dtype=np.int64)
+    # anchors past n_live have no admissible right end at any threshold
+    n_live = int(np.searchsorted(j0[0], n)) if T else 0
+    a = 0
+    while a < n_live:
+        # a block is a rectangle of anchors [a, b) by right ends [c0, n)
+        c0 = j0[0, a]
+        width = n - c0
+        b = min(n_live, a + max(1, _SCAN_CELLS // width))
+        counts = pref[c0 + 1 :] - pref[a:b, None]
+        values = xs[c0:] - xs[a:b, None]
+        # counts / lengths**s in place; cells left of an anchor's own first
+        # admissible right end are never read
+        with np.errstate(divide="ignore", invalid="ignore"):
+            values **= s
+            np.divide(counts, values, out=values)
+        values = values.ravel()
+        # run t of an anchor holds its right ends in [j0[t], j0[t + 1]) and
+        # the last run ends at the row's end; each row closes with a dead run
+        # over the next row's unread cells.  Runs that start at the block's
+        # end are empty and stay out of reduceat, which cannot index there.
+        edges = np.empty((b - a, T + 1), dtype=np.int64)
+        edges[:, :T] = (j0[:, a:b] - c0).T
+        edges[:, T] = width
+        edges = (edges + width * np.arange(b - a)[:, None]).ravel()
+        inside = int(np.searchsorted(edges, values.size))
+        runs = np.full(edges.size, -np.inf)
+        runs[:inside] = np.maximum.reduceat(values, edges[:inside])
+        runs[:-1][edges[1:] == edges[:-1]] = -np.inf
+        # threshold t admits runs t..T-1: a suffix maximum, per anchor
+        runs = runs.reshape(b - a, T + 1)[:, T - 1 :: -1]
+        row_best = np.maximum.accumulate(runs, axis=1)[:, ::-1].T
+        # best[t] as it stood before each anchor; the bound only falls and
+        # best only rises, so a threshold pruned once stays pruned
+        before = np.maximum.accumulate(
+            np.concatenate([best[:, None], row_best[:, :-1]], axis=1), axis=1
+        )
+        pruned = (total - pref[a:b]) / r_pow <= before
+        done = pruned.any(axis=1)
+        cut = np.where(done, pruned.argmax(axis=1), b - a)
+        row_best[np.arange(b - a) >= cut[:, None]] = -np.inf
+        top = row_best.max(axis=1)
+        gain = top > best
+        best[gain] = top[gain]
+        winner[gain] = a + row_best.argmax(axis=1)[gain]
+        if done.all():
+            break
+        a = b
     entries = []
-    for r in sorted(float(t) for t in thresholds):
-        r_adm = r * (1.0 - THRESHOLD_TOL)
-        best = -np.inf
-        best_count = 0
-        best_pair = None
-        for i in range(len(xs)):
-            # every admissible interval from i has value <= remaining / r_adm^s
-            if (total - pref[i]) / r_adm**s <= best:
-                break
-            j0 = np.searchsorted(xs, xs[i] + r_adm, side="left")
-            if j0 >= len(xs):
-                continue
-            counts = pref[j0 + 1 :] - pref[i]
-            lengths = xs[j0:] - xs[i]
-            values = counts / lengths**s
-            j = int(np.argmax(values))
-            if values[j] > best:
-                best = float(values[j])
-                best_count = int(counts[j])
-                best_pair = (float(xs[i]), float(xs[j0 + j]))
-        if best_pair is not None:
-            entries.append(
-                SDensityEntry(
-                    threshold=r,
-                    sup_value=best,
-                    sup_count=best_count,
-                    argmax=best_pair,
-                )
+    for t in np.flatnonzero(best > -np.inf):
+        i, lo = winner[t], j0[t, winner[t]]
+        counts = pref[lo + 1 :] - pref[i]
+        values = counts / (xs[lo:] - xs[i]) ** s
+        j = int(np.argmax(values))
+        entries.append(
+            SDensityEntry(
+                threshold=rs[t],
+                sup_value=float(values[j]),
+                sup_count=int(counts[j]),
+                argmax=(float(xs[i]), float(xs[lo + j])),
             )
+        )
     return SDensityEstimate(
         s=s,
         entries=tuple(entries),

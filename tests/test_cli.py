@@ -147,6 +147,15 @@ def test_sdensity_demands_exponent_without_similarity(pair_file):
     assert "not a similarity" in result.stderr
 
 
+def test_sdensity_rejects_dimension_before_expansion(pair_file):
+    path = pair_file(DRAGON)
+    # level 5 holds 32 points, over the cap of 16: the dimension is refused first
+    result = run("sdensity", "--pair", path, "--level", "5", "--cap", "16")
+    assert result.returncode == 1
+    assert "dimension 1 only" in result.stderr
+    assert "cap" not in result.stderr
+
+
 def test_cantor_count():
     result = run("cantor", "--N", "3", "--d", "2", "--op", "count", "--coeffs", "2,0,2")
     assert result.returncode == 0

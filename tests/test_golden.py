@@ -48,6 +48,12 @@ CORPUS = [
      "b688bac61ccaea83edc3fd234a94bb3c7c8d216ed4ec5bb905443a6fdb9ade90"),
     (("sdensity", "{cantor}", "--level", "6", "--thresholds", "lin:1,9,3"),
      "22135e17b74ee475209c1c2775a6a44c50efaaefd7fefb366be4a64ba955bc57"),
+    # the benchmark's s-density command
+    (("sdensity", "{cantor}", "--level", "12"),
+     "a5fa62e77055975214b4dab2b778411231b4da2ac697168e92e5f5c462d8bee0"),
+    # thresholds 2 and 26 equal the interval lengths 3^1 - 1 and 3^3 - 1
+    (("sdensity", "{cantor}", "--level", "6", "--thresholds", "lin:2,26,4"),
+     "6ab8ccca6f0eb8783112cdf1da19403eb8bd3fdb263dd96b10a16c7b0d9b7e3c"),
     (("raster", "{doubling}", "--resolution", "16"),
      "52796461dcfd548b64f274e1b3280d275d794d1d634d482c70c8f65c49fd1e89"),
     (("raster", "{dragon}", "--resolution", "24"),

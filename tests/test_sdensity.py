@@ -1,6 +1,8 @@
 """Interval s-density scans, discrete convolution, sampling, renormalization."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -18,9 +20,11 @@ from selfaffine import (
     interval_value,
     natural_thresholds,
     sample_self_similar_measure,
+    sdensity,
     upper_s_density_profile,
     validate_pair,
 )
+from selfaffine.pointset import prefix_weights
 
 S_CANTOR = math.log(2) / math.log(3)
 
@@ -39,6 +43,49 @@ def brute_sdensity(pts, s, r):
             if best is None or value > best:
                 best = value
     return best
+
+
+def loop_sdensity(pts, s, thresholds, level=None):
+    """The per-threshold anchor loop the one-pass scan replaced, kept verbatim."""
+    xs = pts.coords()
+    pref = prefix_weights(pts)
+    total = pref[-1]
+    entries = []
+    for r in sorted(float(t) for t in thresholds):
+        r_adm = r * (1.0 - sdensity.THRESHOLD_TOL)
+        best = -np.inf
+        best_count = 0
+        best_pair = None
+        for i in range(len(xs)):
+            # every admissible interval from i has value <= remaining / r_adm^s
+            if (total - pref[i]) / r_adm**s <= best:
+                break
+            j0 = np.searchsorted(xs, xs[i] + r_adm, side="left")
+            if j0 >= len(xs):
+                continue
+            counts = pref[j0 + 1 :] - pref[i]
+            lengths = xs[j0:] - xs[i]
+            values = counts / lengths**s
+            j = int(np.argmax(values))
+            if values[j] > best:
+                best = float(values[j])
+                best_count = int(counts[j])
+                best_pair = (float(xs[i]), float(xs[j0 + j]))
+        if best_pair is not None:
+            entries.append(
+                sdensity.SDensityEntry(
+                    threshold=r,
+                    sup_value=best,
+                    sup_count=best_count,
+                    argmax=best_pair,
+                )
+            )
+    return sdensity.SDensityEstimate(
+        s=s,
+        entries=tuple(entries),
+        level=level,
+        max_multiplicity=int(pts.weights.max()),
+    )
 
 
 def test_cantor_level_2_example(cantor_pair_32):
@@ -322,3 +369,77 @@ def test_smoothing_changes_profile_little(cantor_pair_32):
         / len(sample.points)
     )
     assert value == pytest.approx(base, rel=0.05)
+
+
+@st.composite
+def scan_cases(draw):
+    """A weighted 1-D set, an exponent, and thresholds that hit its edge cases."""
+    n = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        # integer lattice: many equal gaps, so exact ties between intervals
+        coords = draw(st.lists(st.integers(0, 30), min_size=n, max_size=n))
+    else:
+        coords = draw(
+            st.lists(st.floats(-50, 50, allow_nan=False), min_size=n, max_size=n)
+        )
+    weights = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    pts = WeightedPointSet([float(c) for c in coords], weights)
+    xs = pts.coords()
+    extent = float(xs[-1] - xs[0])
+    gaps = sorted({float(b - a) for a in xs for b in xs if b > a}) or [1.0]
+    thresholds = draw(
+        st.lists(
+            st.one_of(
+                st.sampled_from(gaps),
+                st.floats(1e-3, 1.2 * extent + 1.0),
+                st.sampled_from([extent + 1.0, 2 * extent + 5.0]),
+            ),
+            max_size=8,
+        )
+    )
+    if thresholds and draw(st.booleans()):
+        thresholds.append(thresholds[0])
+    s = draw(st.one_of(st.sampled_from([1.0, 0.5, S_CANTOR]), st.floats(0.05, 1.0)))
+    return pts, s, thresholds
+
+
+@settings(max_examples=300, deadline=None)
+@given(scan_cases(), st.integers(1, 64))
+def test_one_pass_scan_equals_threshold_loop(case, cells):
+    pts, s, thresholds = case
+    with pytest.MonkeyPatch.context() as mp:
+        # a few cells per block, so one scan spans many blocks
+        mp.setattr(sdensity, "_SCAN_CELLS", cells)
+        got = upper_s_density_profile(pts, s, thresholds, level=3)
+    assert got == loop_sdensity(pts, s, thresholds, level=3)
+
+
+@pytest.mark.parametrize("cells", [1, 37, 2**16])
+def test_one_pass_scan_equals_threshold_loop_on_cantor(cantor_pair_32, monkeypatch, cells):
+    monkeypatch.setattr(sdensity, "_SCAN_CELLS", cells)
+    for k in range(1, 10):
+        pts = expand_level(cantor_pair_32, k)
+        thresholds = [*natural_thresholds(pts), 2.0, 26.0, 3.0**k - 1]
+        got = upper_s_density_profile(pts, S_CANTOR, thresholds, level=k)
+        assert got == loop_sdensity(pts, S_CANTOR, thresholds, level=k)
+
+
+@pytest.mark.parametrize("bad", [[0.0], [-1.0], [math.nan], [4.0, 0.0, 2.0]])
+def test_nonpositive_threshold_rejected(cantor_pair_32, bad):
+    pts = expand_level(cantor_pair_32, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="thresholds must be positive"):
+            upper_s_density_profile(pts, S_CANTOR, bad)
+
+
+def test_level_12_scan_memory_is_bounded(cantor_pair_32):
+    pts = expand_level(cantor_pair_32, 12)
+    thresholds = natural_thresholds(pts)
+    tracemalloc.start()
+    try:
+        upper_s_density_profile(pts, S_CANTOR, thresholds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
