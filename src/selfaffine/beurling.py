@@ -13,6 +13,7 @@ it the same count; untrusted entries are reported but carry trusted=False.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,7 +94,7 @@ def _natural_ladder(pts: WeightedPointSet, count: int, top: float) -> tuple[floa
     extent = float(np.max(pts.points.max(axis=0) - pts.points.min(axis=0)))
     if extent <= 0:
         raise ValueError("support extent is zero; no natural scale")
-    return tuple(extent * top / 2 ** (count - 1 - i) for i in range(count))
+    return tuple(math.ldexp(extent * top, i + 1 - count) for i in range(count))
 
 
 def natural_schedule(pts: WeightedPointSet, count: int = NATURAL_SCHEDULE_LEN) -> WindowSchedule:

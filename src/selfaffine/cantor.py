@@ -30,6 +30,8 @@ class CantorPair:
     d: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.N) and math.isfinite(self.d)):
+            raise ValueError("scaling factor and translation must be finite")
         if not self.N >= 3:
             raise ValueError("scaling factor must be at least 3")
         if not self.d > 0:
@@ -109,7 +111,11 @@ def cantor_sdensity_sequence(cp: CantorPair, m_max: int):
     s = cp.s
     values = []
     for m in range(1, m_max + 1):
-        diam = (cp.N**m - 1.0) / (cp.N - 1.0) * cp.d
+        try:
+            power = cp.N**m
+        except OverflowError:
+            raise ValueError(f"N**{m} overflows a float; lower m_max") from None
+        diam = (power - 1.0) / (cp.N - 1.0) * cp.d
         values.append((m, 2.0**m / diam**s))
     limit = ((cp.N - 1.0) / cp.d) ** s
     return values, limit

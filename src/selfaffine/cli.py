@@ -1,14 +1,17 @@
 """Command-line front end: pair files in, deterministic CSV or PBM out.
 
-Output rules, shared by every command: comment lines prefixed '#' carry the
-toolkit version and the fully resolved configuration, numbers print with 12
-significant digits, and identical invocations produce byte-identical bytes
+Output rules, shared by every command through ``_report``: comment lines
+prefixed '#' carry the toolkit version, the fully resolved configuration and
+the command's ``key: value`` results, numbers print with 12 significant
+digits (``_cell``), and identical invocations produce byte-identical bytes
 (randomized commands demand an explicit --seed).  Exit codes: 0 success,
 1 domain error, 2 usage error.
 """
 from __future__ import annotations
 
 import argparse
+import itertools
+import math
 import sys
 from pathlib import Path
 
@@ -50,20 +53,6 @@ from .sdensity import (
 
 class UsageError(Exception):
     """Bad command-line input; maps to exit code 2."""
-
-
-def _fmt(x) -> str:
-    return f"{float(x):.12g}"
-
-
-def _fmt_bool(b) -> str:
-    return "true" if b else "false"
-
-
-def _fmt_point(value) -> str:
-    if isinstance(value, tuple):
-        return "(" + " ".join(_fmt(v) for v in value) + ")"
-    return _fmt(value)
 
 
 def parse_pair_spec(text: str) -> SelfAffinePair:
@@ -126,11 +115,11 @@ def parse_pair_spec(text: str) -> SelfAffinePair:
 
 def render_pair_spec(pair: SelfAffinePair) -> str:
     """Inverse of parse_pair_spec; repr-formatted entries round-trip exactly."""
-    lines = [f"dim {pair.dim}", "matrix"]
-    lines += [" ".join(repr(float(v)) for v in row) for row in pair.matrix.entries]
-    lines.append("digits")
-    lines += [" ".join(repr(float(v)) for v in row) for row in pair.digits.vectors]
-    return "\n".join(lines) + "\n"
+
+    def rows(vectors) -> str:
+        return "".join(" ".join(repr(float(v)) for v in row) + "\n" for row in vectors)
+
+    return f"dim {pair.dim}\nmatrix\n{rows(pair.matrix.entries)}digits\n{rows(pair.digits.vectors)}"
 
 
 def _load_pair(path: str) -> SelfAffinePair:
@@ -148,7 +137,8 @@ def _resolve_sizes(spec: str, natural) -> tuple[float, ...]:
         if kind in ("geo", "lin"):
             a, b, c = rest.split(",")
             start, stop, count = float(a), float(b), int(c)
-            valid = not (count < 1 or start <= 0 or (count > 1 and stop <= start))
+            finite = math.isfinite(start) and math.isfinite(stop)
+            valid = finite and not (count < 1 or start <= 0 or (count > 1 and stop <= start))
         else:
             count = int(rest)
             valid = kind == "natural" and count >= 1
@@ -156,8 +146,8 @@ def _resolve_sizes(spec: str, natural) -> tuple[float, ...]:
         valid = False
     if not valid:
         raise UsageError(
-            f"bad schedule {spec!r}; use geo:start,stop,count, lin:start,stop,count,"
-            " or natural:count"
+            f"bad schedule {spec!r}; use geo:start,stop,count, lin:start,stop,count"
+            " with finite numbers, or natural:count"
         )
     if kind == "natural":
         return tuple(natural(count))
@@ -165,76 +155,72 @@ def _resolve_sizes(spec: str, natural) -> tuple[float, ...]:
     return build(start, stop, count).sizes
 
 
-def _preamble(command: str, resolved: dict) -> list[str]:
-    items = " ".join(f"{k}={v}" for k, v in resolved.items())
-    return [f"# selfaffine {__version__}", f"# config: command={command} {items}"]
+def _cell(v) -> str:
+    """One printed value: 12 significant digits, true/false, (a b) for a point, '' for None."""
+    if isinstance(v, float):  # before bool and int; np.float64 is a float
+        return f"{v:.12g}"
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, tuple):
+        return "(" + " ".join(map(_cell, v)) + ")"
+    return "" if v is None else str(v)
+
+
+def _comments(args, config, comments) -> list[str]:
+    """Comment lines without '# ': version, resolved config of the named args, ``key: value``."""
+    items = "".join(f" {k}={_cell(getattr(args, k))}" for k in config)
+    lines = [f"selfaffine {__version__}", f"config: command={args.command}{items}"]
+    return lines + [f"{k}: {_cell(v)}" for k, v in comments.items()]
+
+
+def _report(args, config, comments, body) -> str:
+    """Comments, then body rows: a str prints verbatim, a tuple as one CSV row of cells."""
+    lines = [f"# {c}" for c in _comments(args, config, comments)]
+    lines += [r if isinstance(r, str) else ",".join(map(_cell, r)) for r in body]
+    return "\n".join(lines) + "\n"
+
+
+def _regime(pair) -> str:
+    return f"{pair.regime} m={pair.m} |det|={_cell(pair.matrix.det_abs)}"
 
 
 def _cmd_expand(args) -> str:
     pair = _load_pair(args.pair)
     pts = expand_level(pair, args.level, args.cap)
-    lines = _preamble("expand", {"pair": args.pair, "level": args.level, "cap": args.cap})
-    lines.append(f"# regime: {pair.regime} m={pair.m} |det|={_fmt(pair.matrix.det_abs)}")
-    lines.append(",".join(f"x_{i + 1}" for i in range(pts.dim)) + ",weight")
-    for p, w in zip(pts.points, pts.weights):
-        lines.append(",".join(_fmt(v) for v in p) + f",{w}")
-    return "\n".join(lines) + "\n"
+    header = ",".join(f"x_{i + 1}" for i in range(pts.dim)) + ",weight"
+    # rows are zipped from flat columns one at a time: no list of 2**k row tuples
+    rows = zip(*pts.points.T.tolist(), pts.weights.tolist())
+    body = itertools.chain([header], rows)
+    return _report(args, ("pair", "level", "cap"), {"regime": _regime(pair)}, body)
 
 
 def _cmd_check(args) -> str:
     pair = _load_pair(args.pair)
     report = osc_verdict(pair, args.level, args.cap)
-    lines = _preamble("check", {"pair": args.pair, "level": args.level, "cap": args.cap})
-    lines.append(f"# separation_stabilized: {_fmt_bool(report.separation_stabilized)}")
-    lines.append(f"# density_bounded: {_fmt_bool(report.density_bounded)}")
+    comments = {
+        "separation_stabilized": report.separation_stabilized,
+        "density_bounded": report.density_bounded,
+    }
     if report.witness is not None:
         w = report.witness
-        point = _fmt_point(tuple(float(v) for v in np.ravel(w.point)) if pair.dim > 1 else float(np.ravel(w.point)[0]))
+        point = tuple(float(v) for v in np.ravel(w.point))
         observed = "" if w.observed_multiplicity is None else f" observed={w.observed_multiplicity}"
-        lines.append(
-            f"# witness: point={point} copies={w.copies} bound={w.bound}"
-            f" verified={_fmt_bool(w.verified)}{observed}"
+        comments["witness"] = (
+            f"point={_cell(point if pair.dim > 1 else point[0])} copies={w.copies}"
+            f" bound={w.bound} verified={_cell(w.verified)}{observed}"
         )
-    if report.verdict == VERDICT_FAILS:
-        if report.first_collision is not None:
-            level, value, _ = report.first_collision
-            lines.append(f"OSC-fails: collision at point {_fmt_point(value)} (level {level})")
-        else:
-            lines.append("OSC-fails: density profile diverges")
-    else:
-        lines.append(report.verdict)
-    lines.append("level,min_separation")
-    for level, sep in report.min_separation_by_level:
-        lines.append(f"{level},{_fmt(sep)}")
-    return "\n".join(lines) + "\n"
-
-
-def _density_rows(dim: int, upper, lower) -> list[str]:
-    if dim == 1:
-        header = "N,sup_count,sup_value,argmax_center,inf_count,inf_value,argmin_center,trusted"
-    else:
-        header = (
-            "N,sup_count,sup_value,argmax_center_x,argmax_center_y,"
-            "inf_count,inf_value,argmin_center_x,argmin_center_y,trusted"
-        )
-    by_size = {e.size: e for e in lower.entries}
-    rows = [header]
-    for e in upper.entries:
-        cells = [_fmt(e.size), str(e.sup_count), _fmt(e.sup_value)]
-        cells += [_fmt(c) for c in e.argmax_center]
-        low = by_size.get(e.size)
-        if low is None:
-            cells += [""] * (dim + 3)
-        else:
-            cells += [str(low.inf_count), _fmt(low.inf_value)]
-            cells += [_fmt(c) for c in low.argmin_center]
-            cells.append(_fmt_bool(low.trusted))
-        rows.append(",".join(cells))
-    return rows
+    verdict = report.verdict
+    if verdict == VERDICT_FAILS and report.first_collision is not None:
+        level, value, _ = report.first_collision
+        verdict = f"OSC-fails: collision at point {_cell(value)} (level {level})"
+    elif verdict == VERDICT_FAILS:
+        verdict = "OSC-fails: density profile diverges"
+    body = [verdict, "level,min_separation", *report.min_separation_by_level]
+    return _report(args, ("pair", "level", "cap"), comments, body)
 
 
 def _profiles(pair, args):
-    """Expansion plus upper/lower profiles on the resolved schedule."""
+    """Schedule plus upper/lower profiles of the expansion on it."""
     pts = expand_level(pair, args.level, args.cap)
     schedule = WindowSchedule(
         _resolve_sizes(args.windows, lambda count: natural_schedule(pts, count).sizes)
@@ -245,25 +231,29 @@ def _profiles(pair, args):
     except BudgetExceeded:
         nxt = None
     lower = lower_density_profile(pts, schedule, nxt, level=args.level)
-    return pts, schedule, upper, lower
+    return schedule, upper, lower
 
 
 def _cmd_density(args) -> str:
     pair = _load_pair(args.pair)
-    pts, schedule, upper, lower = _profiles(pair, args)
-    lines = _preamble(
-        "density",
-        {"pair": args.pair, "level": args.level, "windows": args.windows, "cap": args.cap},
-    )
-    lines.append("# windows: " + ",".join(_fmt(s) for s in schedule.sizes))
-    lines.append(f"# regime: {pair.regime} m={pair.m} |det|={_fmt(pair.matrix.det_abs)}")
+    schedule, upper, lower = _profiles(pair, args)
+    comments = {"windows": ",".join(map(_cell, schedule.sizes)), "regime": _regime(pair)}
     if pair.regime == REGIME_TILE:
         measure = lebesgue_from_density(upper)
-        lines.append(
-            f"# lebesgue: {_fmt(measure.value)} divergent={_fmt_bool(measure.divergent)}"
-        )
-    lines += _density_rows(pair.dim, upper, lower)
-    return "\n".join(lines) + "\n"
+        comments["lebesgue"] = f"{_cell(measure.value)} divergent={_cell(measure.divergent)}"
+    argmax, argmin = (
+        c if pair.dim == 1 else f"{c}_x,{c}_y" for c in ("argmax_center", "argmin_center")
+    )
+    rows = [f"N,sup_count,sup_value,{argmax},inf_count,inf_value,{argmin},trusted"]
+    by_size = {e.size: e for e in lower.entries}
+    for e in upper.entries:
+        low = by_size.get(e.size)
+        if low is None:
+            tail = (None,) * (pair.dim + 3)
+        else:
+            tail = (low.inf_count, low.inf_value, *low.argmin_center, low.trusted)
+        rows.append((e.size, e.sup_count, e.sup_value, *e.argmax_center, *tail))
+    return _report(args, ("pair", "level", "windows", "cap"), comments, rows)
 
 
 def _cmd_sdensity(args) -> str:
@@ -282,27 +272,14 @@ def _cmd_sdensity(args) -> str:
     thresholds = _resolve_sizes(args.thresholds, lambda count: natural_thresholds(pts, count))
     profile = upper_s_density_profile(pts, s, thresholds, level=args.level)
     measure = hausdorff_from_sdensity(profile)
-    lines = _preamble(
-        "sdensity",
-        {
-            "pair": args.pair,
-            "level": args.level,
-            "thresholds": args.thresholds,
-            "cap": args.cap,
-        },
-    )
-    lines.append("# thresholds: " + ",".join(_fmt(t) for t in thresholds))
-    lines.append(f"# s: {_fmt(s)} source={source}")
-    lines.append(
-        f"# hausdorff: {_fmt(measure.value)} divergent={_fmt_bool(measure.divergent)}"
-    )
-    lines.append("r,sup_count,sup_value,argmax_lo,argmax_hi")
-    for e in profile.entries:
-        lines.append(
-            f"{_fmt(e.threshold)},{e.sup_count},{_fmt(e.sup_value)},"
-            f"{_fmt(e.argmax[0])},{_fmt(e.argmax[1])}"
-        )
-    return "\n".join(lines) + "\n"
+    comments = {
+        "thresholds": ",".join(map(_cell, thresholds)),
+        "s": f"{_cell(s)} source={source}",
+        "hausdorff": f"{_cell(measure.value)} divergent={_cell(measure.divergent)}",
+    }
+    rows = [(e.threshold, e.sup_count, e.sup_value, *e.argmax) for e in profile.entries]
+    body = ["r,sup_count,sup_value,argmax_lo,argmax_hi", *rows]
+    return _report(args, ("pair", "level", "thresholds", "cap"), comments, body)
 
 
 def _cmd_cantor(args) -> str:
@@ -311,7 +288,7 @@ def _cmd_cantor(args) -> str:
     if args.d <= 0:
         raise UsageError("--d must be positive")
     cp = CantorPair(N=args.N, d=args.d)
-    resolved = {"op": args.op, "N": _fmt(args.N), "d": _fmt(args.d)}
+    config, comments = ("op", "N", "d"), {}
     if args.op == "count":
         if args.coeffs is None:
             raise UsageError("--coeffs is required for op count")
@@ -319,35 +296,28 @@ def _cmd_cantor(args) -> str:
             coeffs = [float(v) for v in args.coeffs.split(",")]
         except ValueError:
             raise UsageError(f"bad coefficient list {args.coeffs!r}") from None
-        resolved["coeffs"] = args.coeffs
-        lines = _preamble("cantor", resolved)
-        b = sum(r * args.N**j for j, r in enumerate(coeffs))
-        lines.append("b,count")
-        lines.append(f"{_fmt(b)},{count_upto(cp, coeffs)}")
+        config += ("coeffs",)
+        try:
+            b = sum(r * args.N**j for j, r in enumerate(coeffs))
+        except OverflowError:
+            b = math.inf
+        if not math.isfinite(b):
+            raise ValueError("b = sum of r_j N**j overflows a float")
+        body = ["b,count", (b, count_upto(cp, coeffs))]
     elif args.op == "hmeasure":
-        lines = _preamble("cantor", resolved)
-        lines.append(f"# s: {_fmt(cp.s)}")
-        lines.append(f"{cantor_hausdorff(cp):.12f}")
+        comments = {"s": cp.s}
+        body = [f"{cantor_hausdorff(cp):.12f}"]
     elif args.op == "sequence":
-        resolved["m_max"] = args.m_max
-        lines = _preamble("cantor", resolved)
+        config += ("m_max",)
         values, limit = cantor_sdensity_sequence(cp, args.m_max)
-        lines.append(f"# s: {_fmt(cp.s)}")
-        lines.append(f"# limit: {_fmt(limit)}")
-        lines.append("m,value")
-        lines += [f"{m},{_fmt(v)}" for m, v in values]
+        comments = {"s": cp.s, "limit": limit}
+        body = ["m,value", *values]
     else:
-        resolved["level"] = args.level
-        resolved["cap"] = args.cap
-        lines = _preamble("cantor", resolved)
+        config += ("level", "cap")
         holds, counterexample = translation_dominance_check(cp, args.level, args.cap)
-        lines.append("holds,counterexample_a,counterexample_b")
-        if holds:
-            lines.append("true,,")
-        else:
-            a, b = counterexample
-            lines.append(f"false,{_fmt(a)},{_fmt(b)}")
-    return "\n".join(lines) + "\n"
+        row = (holds, *(counterexample or (None, None)))
+        body = ["holds,counterexample_a,counterexample_b", row]
+    return _report(args, config, comments, body)
 
 
 def _cmd_raster(args) -> str:
@@ -355,37 +325,31 @@ def _cmd_raster(args) -> str:
     if args.resolution**pair.dim > args.cap:
         raise BudgetExceeded(f"raster {args.resolution}**{pair.dim} cells exceed cap {args.cap}")
     grid, estimate = raster_attractor(pair, args.resolution, args.max_iters)
-    comments = (
-        f"selfaffine {__version__}",
-        f"config: command=raster pair={args.pair} resolution={args.resolution}"
-        f" max_iters={args.max_iters}",
-        f"box: [{_fmt(-grid.radius)},{_fmt(grid.radius)}]^{grid.dim}",
-        f"outer: {_fmt(estimate.outer)} iterations={estimate.iterations}"
-        f" converged={_fmt_bool(estimate.converged)}",
-    )
-    return render_raster(grid, comments)
+    comments = {
+        "box": f"[{_cell(-grid.radius)},{_cell(grid.radius)}]^{grid.dim}",
+        "outer": f"{_cell(estimate.outer)} iterations={estimate.iterations}"
+        f" converged={_cell(estimate.converged)}",
+    }
+    return render_raster(grid, _comments(args, ("pair", "resolution", "max_iters"), comments))
 
 
 def _cmd_classify_origin(args) -> str:
     pair = _load_pair(args.pair)
-    pts, schedule, upper, lower = _profiles(pair, args)
+    schedule, upper, lower = _profiles(pair, args)
     measure = lebesgue_from_density(upper) if pair.regime == REGIME_TILE else None
     lebesgue = 0.0 if measure is None or measure.divergent else measure.value
     report = classify_origin(pair, upper, lower, lebesgue)
-    lines = _preamble(
-        "classify-origin",
-        {"pair": args.pair, "level": args.level, "windows": args.windows, "cap": args.cap},
-    )
-    lines.append("# windows: " + ",".join(_fmt(s) for s in schedule.sizes))
-    lines.append("# calibration: interior within 10% of 1/|K|, boundary below 10% of 1/|K|")
-    lines.append(f"# lebesgue: {_fmt(lebesgue)}")
-    lines.append(f"{report.label} (evidence at level {report.level})")
-    lines.append("label,trusted_value,reference,window_size,level")
-    lines.append(
-        f"{report.label},{_fmt(report.trusted_value)},{_fmt(report.reference)},"
-        f"{_fmt(report.window_size)},{report.level}"
-    )
-    return "\n".join(lines) + "\n"
+    comments = {
+        "windows": ",".join(map(_cell, schedule.sizes)),
+        "calibration": "interior within 10% of 1/|K|, boundary below 10% of 1/|K|",
+        "lebesgue": lebesgue,
+    }
+    body = [
+        f"{report.label} (evidence at level {report.level})",
+        "label,trusted_value,reference,window_size,level",
+        (report.label, report.trusted_value, report.reference, report.window_size, report.level),
+    ]
+    return _report(args, ("pair", "level", "windows", "cap"), comments, body)
 
 
 def _cmd_renorm_check(args) -> str:
@@ -393,7 +357,9 @@ def _cmd_renorm_check(args) -> str:
     try:
         vals = [float(v) for v in args.window.split(",")]
     except ValueError:
-        raise UsageError(f"bad window {args.window!r}") from None
+        vals = [math.nan]
+    if not all(map(math.isfinite, vals)):
+        raise UsageError(f"bad window {args.window!r}; use finite numbers")
     if len(vals) != 2 * pair.dim:
         raise UsageError(
             f"window needs {2 * pair.dim} numbers (lo,hi per axis), got {len(vals)}"
@@ -402,25 +368,10 @@ def _cmd_renorm_check(args) -> str:
     hi = np.array(vals[1::2])
     sample = sample_self_similar_measure(pair, args.samples, args.seed, args.burn_in)
     check = check_renormalization(pair, (lo, hi), args.steps, sample, args.cap)
-    lines = _preamble(
-        "renorm-check",
-        {
-            "pair": args.pair,
-            "window": args.window,
-            "steps": args.steps,
-            "samples": args.samples,
-            "seed": args.seed,
-            "burn_in": args.burn_in,
-            "cap": args.cap,
-        },
-    )
-    lines.append("lhs,rhs,stderr,abs_diff,within_3_stderr")
     diff = abs(check.lhs - check.rhs)
-    lines.append(
-        f"{_fmt(check.lhs)},{_fmt(check.rhs)},{_fmt(check.stderr)},"
-        f"{_fmt(diff)},{_fmt_bool(diff <= 3 * check.stderr)}"
-    )
-    return "\n".join(lines) + "\n"
+    row = (check.lhs, check.rhs, check.stderr, diff, diff <= 3 * check.stderr)
+    config = ("pair", "window", "steps", "samples", "seed", "burn_in", "cap")
+    return _report(args, config, {}, ["lhs,rhs,stderr,abs_diff,within_3_stderr", row])
 
 
 def _positive_int(text: str) -> int:
@@ -446,6 +397,9 @@ def _add_common(sub, pair=True, level=True):
     sub.add_argument("-o", "--output", help="output file (default: standard output)")
 
 
+_SCHEDULE_HELP = "geo:a,b,c | lin:a,b,c | natural:c"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="selfaffine",
@@ -464,15 +418,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("density", help="upper/lower window-density profiles")
     _add_common(p)
-    p.add_argument("--windows", default="natural:9", help="geo:a,b,c | lin:a,b,c | natural:c")
+    p.add_argument("--windows", default="natural:9", help=_SCHEDULE_HELP)
     p.set_defaults(func=_cmd_density)
 
     p = sub.add_parser("sdensity", help="upper s-density profile over intervals")
     _add_common(p)
     p.add_argument("--s", type=float, default=None, help="override exponent s")
-    p.add_argument(
-        "--thresholds", default="natural:9", help="geo:a,b,c | lin:a,b,c | natural:c"
-    )
+    p.add_argument("--thresholds", default="natural:9", help=_SCHEDULE_HELP)
     p.set_defaults(func=_cmd_sdensity)
 
     p = sub.add_parser("cantor", help="closed forms for the two-digit family")
@@ -484,8 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coeffs", help="comma-separated r_j in {0,d} (op count)")
     p.add_argument("--m-max", type=_positive_int, default=12, help="sequence length")
     p.add_argument("--level", type=_positive_int, default=8, help="level (op dominance)")
-    p.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP)
-    p.add_argument("-o", "--output")
+    _add_common(p, pair=False, level=False)
     p.set_defaults(func=_cmd_cantor)
 
     p = sub.add_parser("raster", help="outer raster of the attractor (PBM in 2-D)")
@@ -496,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify-origin", help="interior/boundary verdict at the origin")
     _add_common(p)
-    p.add_argument("--windows", default="natural:9", help="geo:a,b,c | lin:a,b,c | natural:c")
+    p.add_argument("--windows", default="natural:9", help=_SCHEDULE_HELP)
     p.set_defaults(func=_cmd_classify_origin)
 
     p = sub.add_parser("renorm-check", help="Monte Carlo renormalization identity check")
@@ -524,6 +475,10 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     if args.output is None:
         sys.stdout.write(text)
-    else:
+        return 0
+    try:
         Path(args.output).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        print(f"usage error: cannot write output file {args.output}: {exc}", file=sys.stderr)
+        return 2
     return 0

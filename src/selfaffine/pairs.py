@@ -91,9 +91,12 @@ def _inf_norm(mat: np.ndarray) -> float:
 
 
 def _certify_matrix(entries: np.ndarray) -> ExpandingMatrix:
-    det = float(np.linalg.det(entries))
+    with np.errstate(over="ignore"):  # reported below as a ValueError
+        det = float(np.linalg.det(entries))
     if det == 0.0:
         raise NotInvertible("matrix determinant is zero")
+    if not math.isfinite(det):
+        raise ValueError("matrix determinant overflows a float")
     inverse = np.linalg.inv(entries)
     power = np.eye(entries.shape[0])
     for p in range(1, MAX_CONTRACTION_POWER + 1):
@@ -143,15 +146,19 @@ def validate_pair(matrix, digits) -> SelfAffinePair:
     fewer digits means ``fractal``, more means ``overfull``.
 
     Raises NotInvertible, NotExpanding, MissingZeroDigit, DuplicateDigit,
-    or DimensionMismatch.
+    or DimensionMismatch; ValueError for a non-square matrix or an entry
+    that is not finite.
     """
     entries = np.array(matrix, dtype=float)
+    rows = np.array(digits, dtype=float)
+    if not (np.isfinite(entries).all() and np.isfinite(rows).all()):
+        raise ValueError("matrix and digit entries must be finite")
     if entries.ndim == 0:
         entries = entries.reshape(1, 1)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1] or entries.shape[0] < 1:
         raise ValueError("matrix must be square")
     mat = _certify_matrix(entries)
-    digit_set = _validate_digits(np.array(digits, dtype=float), mat.dim)
+    digit_set = _validate_digits(rows, mat.dim)
 
     nearest = round(mat.det_abs)
     if abs(mat.det_abs - nearest) <= DET_INTEGER_TOL and digit_set.m == nearest:

@@ -390,3 +390,70 @@ def test_library_value_errors_exit_1_without_traceback(pair_file, text, argv):
     assert result.returncode == 1
     assert result.stderr.startswith("error:")
     assert "Traceback" not in result.stderr
+
+
+def test_unwritable_output_is_usage_error(pair_file, tmp_path):
+    path = pair_file(DOUBLING)
+    result = run("expand", "--pair", path, "--level", "2", "-o", str(tmp_path / "no" / "x.csv"))
+    assert result.returncode == 2
+    assert result.stderr.startswith("usage error: cannot write output file")
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("cantor", "--N", "3", "--d", "inf", "--op", "hmeasure"),
+        ("cantor", "--N", "3", "--d", "2", "--op", "sequence", "--m-max", "647"),
+        ("cantor", "--N", "3", "--d", "2", "--op", "count", "--coeffs", ",".join(["2"] * 800)),
+        ("cantor", "--N", "3", "--d", "1e308", "--op", "count", "--coeffs", "0,1e308"),
+    ],
+    ids=["d-inf", "sequence-647", "count-800", "count-b-inf"],
+)
+def test_cantor_float_limits_are_domain_errors(argv):
+    result = run(*argv)
+    assert result.returncode == 1
+    assert result.stderr.startswith("error:")
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "dim 1\nmatrix\ninf\ndigits\n0\n1\n",
+        "dim 1\nmatrix\n2\ndigits\n0\nnan\n",
+        # finite entries whose determinant overflows
+        "dim 2\nmatrix\n1e308 0\n0 1e308\ndigits\n0 0\n1 0\n",
+    ],
+    ids=["matrix-inf", "digit-nan", "det-overflow"],
+)
+def test_non_finite_pair_is_domain_error(pair_file, text):
+    result = run("expand", "--pair", pair_file(text), "--level", "2")
+    assert result.returncode == 1
+    assert result.stderr.startswith("error:")
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("density", "--level", "3", "--windows", "geo:1,inf,3"),
+        ("density", "--level", "3", "--windows", "lin:1,nan,3"),
+        ("sdensity", "--level", "3", "--thresholds", "geo:nan,2,3"),
+        ("renorm-check", "--window", "0,nan", "--steps", "1", "--samples", "10", "--seed", "1"),
+    ],
+    ids=["geo-inf", "lin-nan", "thresholds-nan", "window-nan"],
+)
+def test_non_finite_schedule_or_window_is_usage_error(pair_file, argv):
+    result = run(argv[0], "--pair", pair_file(CANTOR), *argv[1:])
+    assert result.returncode == 2
+    assert result.stderr.startswith("usage error:")
+    assert result.stdout == ""
+
+
+def test_natural_schedule_beyond_float_range_is_domain_error(pair_file):
+    # 2**1099 has no float; the smallest sizes underflow to zero instead
+    path = pair_file(DOUBLING)
+    result = run("density", "--pair", path, "--level", "3", "--windows", "natural:1100")
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr

@@ -71,6 +71,15 @@ CORPUS = [
     (("renorm-check", "{cantor}", "--window", "0,0.5", "--steps", "2",
       "--samples", "4000", "--seed", "11"),
      "fbb7d87fed476fc8eed2545f9c9a65efb5234479be01d1575f03daa41caf199a"),
+    # a 2-D row whose lower half is empty: window 40 exceeds the next level
+    (("density", "{dragon}", "--level", "6", "--windows", "geo:1,40,3"),
+     "a5b816e50ea202410ca8550f506136668c553f96410519a2723396f9bf68b727"),
+    # an unverified witness, printed without observed=
+    (("check", "{collider}", "--level", "3", "--cap", "100"),
+     "0c5dfde4ad8c918801a3f2d5c344e17dce2cf94aa96599ce809fb7c68c995f4b"),
+    # weights above 1
+    (("expand", "{collider}", "--level", "2"),
+     "9bb94a796b774877d155214ab086189e9a2e11bc7a7395b2d3c663f0a13f1caa"),
 ]
 
 
