@@ -144,30 +144,41 @@ def raster_attractor(
     centers = lo + (np.arange(resolution) + 0.5) * h
 
     dim = pair.dim
-    grids = np.meshgrid(*[centers] * dim, indexing="ij")
-    images = [sum(b[a, k] * grids[k] for k in range(dim)) for a in range(dim)]
+    images = [
+        sum(b[a, k] * centers.reshape((-1,) + (1,) * (dim - 1 - k)) for k in range(dim))
+        for a in range(dim)
+    ]
     # half-extent of a cell's image, dilated by one cell
     ext = np.abs(b) @ np.full(dim, h / 2) + h
+    # Each digit's index box around every cell image, as flat indices of its
+    # corners into the raveled prefix table: (+) corners and (-) corners of
+    # the inclusion-exclusion.  They depend only on the pair and the grid.
+    index_type = np.int32 if (resolution + 1) ** dim < 2**31 else np.int64
+    boxes = []
+    for d in digits:
+        ends = []
+        for a in range(dim):
+            c = images[a] - d[a]
+            stride = (resolution + 1) ** (dim - 1 - a)
+            ends.append((
+                np.clip(np.floor((c - ext[a] - lo) / h).astype(np.int64), 0, resolution) * stride,
+                np.clip(np.ceil((c + ext[a] - lo) / h).astype(np.int64), 0, resolution) * stride,
+            ))
+        box = ([], [])
+        for corner in itertools.product((1, 0), repeat=dim):
+            flat = sum(ends[a][corner[a]] for a in range(dim)).astype(index_type)
+            box[(sum(corner) - dim) % 2].append(flat)
+        boxes.append(box)
+    del images, ends, c
     occ = np.ones((resolution,) * dim, dtype=bool)
     converged = False
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        s = _prefix_sums(occ)
+        s = _prefix_sums(occ).reshape(-1)
         new = np.zeros_like(occ)
-        for d in digits:
-            bounds = []
-            for a in range(dim):
-                c = images[a] - d[a]
-                bounds.append((
-                    np.clip(np.floor((c - ext[a] - lo) / h).astype(np.int64), 0, resolution),
-                    np.clip(np.ceil((c + ext[a] - lo) / h).astype(np.int64), 0, resolution),
-                ))
+        for plus, minus in boxes:
             # occupied cells in the index box, by inclusion-exclusion over its corners
-            count = 0
-            for corner in itertools.product((1, 0), repeat=dim):
-                term = s[tuple(bounds[a][corner[a]] for a in range(dim))]
-                count = count + term if sum(corner) % 2 == dim % 2 else count - term
-            new |= count > 0
+            new |= sum(s[i] for i in plus) > sum(s[i] for i in minus)
         new &= occ
         if np.array_equal(new, occ):
             converged = True
@@ -196,14 +207,15 @@ def render_raster(grid: RasterGrid, comments: tuple[str, ...] = ()) -> str:
         lines.append("P1")
         lines.extend(f"# {c}" for c in comments)
         lines.append(f"{grid.resolution} {grid.resolution}")
-        for j in range(grid.resolution - 1, -1, -1):
-            row = grid.cells[:, j]
-            lines.append(" ".join("1" if v else "0" for v in row))
-    else:
-        lines.extend(f"# {c}" for c in comments)
-        lines.append("cell_index,occupied")
-        for i, v in enumerate(grid.cells):
-            lines.append(f"{i},{1 if v else 0}")
+        # one byte buffer: each cell's digit, then a space, or a newline at a row's end
+        body = np.full((grid.resolution, 2 * grid.resolution), ord(" "), dtype=np.uint8)
+        body[:, 0::2] = grid.cells.T[::-1] + ord("0")
+        body[:, -1] = ord("\n")
+        return "\n".join(lines) + "\n" + body.tobytes().decode("ascii")
+    lines.extend(f"# {c}" for c in comments)
+    lines.append("cell_index,occupied")
+    for i, v in enumerate(grid.cells):
+        lines.append(f"{i},{1 if v else 0}")
     return "\n".join(lines) + "\n"
 
 

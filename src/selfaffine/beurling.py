@@ -10,6 +10,16 @@ constant count once per cell between critical edge positions.
 Finite truncations under-count the infinite expansion far from the origin.
 A lower-scan window is therefore only *trusted* when the next level assigns
 it the same count; untrusted entries are reported but carry trusted=False.
+
+Both scans count a window's points in two steps.  In canonical
+(lexicographic) order the points whose x lies in the window form a slab,
+a contiguous run of rows, and as the window moves right both ends of the
+run only advance.  One sliding-slab sweep therefore keeps each slab's
+weight per distinct y value up to date from the points entering and
+leaving, a block of slabs at a time, and a cumulative sum along y turns a
+block into window counts.  Counts are integers throughout and every
+boundary test is the float comparison a per-slab scan makes, so results,
+ties included, are exactly those of scanning slab by slab.
 """
 from __future__ import annotations
 
@@ -18,14 +28,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularMatrix, UnsupportedDimension
-from .pointset import WeightedPointSet, _interval_counts, _prefix_sums
+from .errors import BudgetExceeded, SingularMatrix, UnsupportedDimension
+from .expansion import DEFAULT_CAP
+from .pointset import WeightedPointSet, _prefix_sums
 
 #: Relative tolerance for closed-window boundary membership.
 BOUNDARY_TOL = 1e-12
 
 #: Number of window sizes in a natural (geometric, ratio 2) schedule.
 NATURAL_SCHEDULE_LEN = 9
+
+#: Counts held at once by one block of a blocked scan, here and in ``sdensity``.
+_SCAN_CELLS = 2**15
 
 
 @dataclass(frozen=True)
@@ -108,40 +122,83 @@ def _require_dim(pts: WeightedPointSet, op: str) -> int:
     return pts.dim
 
 
-def _sorted_slab(points: np.ndarray, weights: np.ndarray, lo: int, hi: int):
-    """Last coordinates of rows lo:hi in increasing order, with their prefix weights."""
-    ys, ws = points[lo:hi, -1], weights[lo:hi]
-    if points.shape[1] > 1:  # canonical order already sorts a 1-D set
-        order = np.argsort(ys, kind="stable")
-        ys, ws = ys[order], ws[order]
-    return ys, _prefix_sums(ws)
+def _y_ranks(q: WeightedPointSet):
+    """Distinct last coordinates of a set in increasing order, and each point's index among them.
+
+    A 1-D set's points are distinct and sorted, and its one slab needs no
+    ranks, so it gets its coordinates and None.
+    """
+    if q.dim == 1:
+        return q.points[:, 0], None
+    return np.unique(q.points[:, -1], return_inverse=True)
 
 
-def _sup_scan(pts: WeightedPointSet, size: float):
+def _slab_prefixes(q: WeightedPointSet, ranks, ny: int, lo, hi, rows: int):
+    """Prefix weights along the last axis of the slabs of rows [lo[i], hi[i]), a block at a time.
+
+    Both ends never decrease, so a slab's y-histogram is the previous one
+    plus the points entering below hi and minus those leaving below lo.  A
+    block of ``rows`` slabs is built from these events and a carried row.
+    Yields (a, pref) per block, where pref[r, k] is the weight of slab
+    a + r at y-ranks below k.  In 1-D the one slab [0, n) is the whole
+    set, already sorted, so its prefix is the set's own and ``ranks`` is
+    not needed.
+    """
+    if q.dim == 1:
+        yield 0, _prefix_sums(q.weights)[None]
+        return
+    hist = np.zeros(ny, dtype=np.int64)
+    prev_lo = prev_hi = 0
+    for a in range(0, len(lo), rows):
+        b = min(len(lo), a + rows)
+        diff = np.zeros((b - a + 1, ny), dtype=np.int64)
+        diff[0] = hist
+        flat = diff.reshape(-1)
+        for ends, prev, sign in ((hi[a:b], prev_hi, 1), (lo[a:b], prev_lo, -1)):
+            row = np.repeat(np.arange(1, b - a + 1), np.diff(ends, prepend=prev))
+            moved = slice(prev, ends[-1])
+            np.add.at(flat, row * ny + ranks[moved], sign * q.weights[moved])
+        np.cumsum(diff, axis=0, out=diff)
+        hist = diff[-1]
+        pref = np.zeros((b - a, ny + 1), dtype=np.int64)
+        np.cumsum(diff[1:], axis=1, out=pref[:, 1:])
+        prev_lo, prev_hi = lo[b - 1], hi[b - 1]
+        yield a, pref
+
+
+def _sup_scan(pts: WeightedPointSet, size: float, yu, ranks):
     """Largest weight of a window with its lower corner at a point, and the window centre.
 
     In 2-D each distinct corner x cuts the slab of points with x in
-    [x, x + size], along which the window slides in y.  The first maximum
-    in scan order wins ties.
+    [x, x + size]; in 1-D the one slab is the whole set.  The window slides
+    along the last axis with its lower edge at each y of the slab, so the
+    slabs' box counts are read off one blocked sweep (``_slab_prefixes``,
+    at most ``_SCAN_CELLS`` counts per block beyond a single slab) at the
+    y-ranks present in each slab.  Ties go to the first slab in increasing
+    x, then to the smallest y.
     """
     tol = BOUNDARY_TOL * size
     xs = pts.points[:, 0]
     if pts.dim == 1:
-        slabs = [(0, len(pts))]
+        lo, hi = [0], [len(pts)]
     else:
-        hi_x = np.searchsorted(xs, xs + (size + tol), side="right")
-        slabs = [(i, hi_x[i]) for i in range(len(xs)) if i == 0 or xs[i] != xs[i - 1]]
-    best = -1
-    best_center = None
-    for lo, hi in slabs:
-        line, pref = _sorted_slab(pts.points, pts.weights, lo, hi)
-        counts = pref[np.searchsorted(line, line + (size + tol), side="right")] - pref[:-1]
-        j = int(np.argmax(counts))
-        if counts[j] > best:
-            best = int(counts[j])
-            anchor = (float(xs[lo] + size / 2),) if pts.dim == 2 else ()
-            best_center = anchor + (float(line[j] + size / 2),)
-    return best, best_center
+        lo = np.flatnonzero(np.concatenate([[True], xs[1:] != xs[:-1]]))
+        hi = np.searchsorted(xs, xs[lo] + (size + tol), side="right")
+    top = np.searchsorted(yu, yu + (size + tol), side="right")
+    ny = len(yu)
+    best, at = -1, None
+    for a, pref in _slab_prefixes(pts, ranks, ny, lo, hi, max(1, _SCAN_CELLS // (ny + 1))):
+        counts = pref[:, top] - pref[:, :-1]
+        # a y-rank absent from the slab is no corner there: it counts 0,
+        # below every corner, which counts at least its own weight
+        counts *= pref[:, 1:] != pref[:, :-1]
+        k = int(np.argmax(counts))
+        if counts.flat[k] > best:
+            best = int(counts.flat[k])
+            at = (a + k // ny, k % ny)
+    i, r = at
+    anchor = (float(xs[lo[i]] + size / 2),) if pts.dim == 2 else ()
+    return best, anchor + (float(yu[r] + size / 2),)
 
 
 def upper_density_profile(
@@ -154,9 +211,10 @@ def upper_density_profile(
     Ties in the argmax go to the lexicographically smallest window corner.
     """
     dim = _require_dim(pts, "upper_density_profile")
+    yu, ranks = _y_ranks(pts)
     entries = []
     for size in schedule.sizes:
-        count, center = _sup_scan(pts, size)
+        count, center = _sup_scan(pts, size, yu, ranks)
         entries.append(
             WindowEntry(
                 size=size,
@@ -180,42 +238,63 @@ def _candidate_centers(breaks: np.ndarray, zlo: float, zhi: float) -> np.ndarray
     return np.concatenate([[zlo], (grid[:-1] + grid[1:]) / 2.0, [zhi]])
 
 
-def _inf_scan(pts, nxt, size, zlo, zhi):
+def _inf_scan(ranked, size, zlo, zhi, cap):
     """Least window count over the candidate centres, preferring stable windows.
 
-    The last axis is scanned along lines: the whole set in 1-D, and in 2-D
-    the slab of points whose x lies in the window, for each candidate x.
+    ``ranked`` holds (set, distinct y, y-ranks) for the level and, when
+    given, for the next level.  The last axis is scanned along lines: the
+    whole set in 1-D, and in 2-D the slab of points whose x lies in the
+    window, one per candidate x.  Each set's slabs are read off one blocked
+    sweep (``_slab_prefixes``), and the sweeps advance block by block over
+    the same candidate x, at most ``_SCAN_CELLS`` counts per block beyond a
+    single line.  Stable windows (same count at both levels) rank before
+    unstable ones, then by count, then first in row-major order (x centre,
+    then y centre).  In 2-D, more than ``cap`` candidate windows at this
+    size raise ``BudgetExceeded`` before the sweep.
     """
-    sets = [pts] if nxt is None else [pts, nxt]
-    centers = []
-    for a in range(pts.dim):
-        breaks = np.concatenate([q.points[:, a] + h for q in sets for h in (-size / 2, size / 2)])
-        centers.append(_candidate_centers(breaks, zlo[a], zhi[a]))
+    pts = ranked[0][0]
+    # window edges that put a point on the boundary cut each axis into cells;
+    # the edge arrays are freed axis by axis
+    half = (-size / 2, size / 2)
+    centers = [
+        _candidate_centers(
+            np.concatenate([q.points[:, a] + h for q, _, _ in ranked for h in half]), zlo[a], zhi[a]
+        )
+        for a in range(pts.dim)
+    ]
+    windows = math.prod(map(len, centers))
+    if pts.dim == 2 and windows > cap:
+        raise BudgetExceeded(f"{windows} candidate windows at size {size:g} exceed cap {cap}")
     tol = BOUNDARY_TOL * size
-    lows = [c - size / 2 - tol for c in centers]
-    highs = [c + size / 2 + tol for c in centers]
 
-    def line_counts(q, i):
-        """Counts at (x centre i, each last-axis centre); i is None in 1-D."""
-        lo, hi = 0, len(q)
-        if i is not None:
-            lo = np.searchsorted(q.points[:, 0], lows[0][i], side="left")
-            hi = np.searchsorted(q.points[:, 0], highs[0][i], side="right")
-        line, pref = _sorted_slab(q.points, q.weights, lo, hi)
-        return _interval_counts(line, pref, lows[-1], highs[-1])
+    def cut(values, c, side):
+        """Per centre in c, the sorted values below its low edge (left) or up to its high edge."""
+        edge = c - size / 2 - tol if side == "left" else c + size / 2 + tol
+        return np.searchsorted(values, edge, side=side)
 
-    # stable windows rank before unstable ones, then by count, then first in scan order
+    ncol = len(centers[-1])
+    rows = max(1, _SCAN_CELLS // max(ncol, *(len(yu) + 1 for _, yu, _ in ranked)))
+    sweeps, edges = [], []
+    for q, yu, ranks in ranked:
+        if pts.dim == 1:
+            lo, hi = [0], [len(q)]
+        else:
+            lo, hi = (cut(q.points[:, 0], centers[0], side) for side in ("left", "right"))
+        sweeps.append(_slab_prefixes(q, ranks, len(yu), lo, hi, rows))
+        edges.append([cut(yu, centers[-1], side) for side in ("left", "right")])
+
     unstable_offset = pts.total_mass + 1
     best = None
-    for i in range(len(centers[0])) if pts.dim == 2 else [None]:
-        counts = line_counts(pts, i)
-        stable = np.zeros(len(counts), bool) if nxt is None else counts == line_counts(nxt, i)
-        rank = np.where(stable, counts, counts + unstable_offset)
-        j = int(np.argmin(rank))
-        if best is None or rank[j] < best[0]:
-            at = (j,) if i is None else (i, j)
-            center = tuple(float(c[k]) for c, k in zip(centers, at))
-            best = (rank[j], int(counts[j]), center, bool(stable[j]))
+    for blocks in zip(*sweeps):
+        counts = [pref[:, top] - pref[:, bottom] for (_, pref), (bottom, top) in zip(blocks, edges)]
+        stable = counts[0] == counts[1] if len(counts) == 2 else np.zeros(counts[0].shape, bool)
+        rank = np.where(stable, counts[0], counts[0] + unstable_offset)
+        k = int(np.argmin(rank))
+        if best is None or rank.flat[k] < best[0]:
+            i, j = divmod(k, ncol)
+            at = (j,) if pts.dim == 1 else (blocks[0][0] + i, j)
+            center = tuple(float(c[t]) for c, t in zip(centers, at))
+            best = (rank.flat[k], int(counts[0].flat[k]), center, bool(stable.flat[k]))
     return best[1:]
 
 
@@ -224,6 +303,7 @@ def lower_density_profile(
     schedule: WindowSchedule,
     next_level_pts: WeightedPointSet | None = None,
     level: int | None = None,
+    cap: int = DEFAULT_CAP,
 ) -> DensityEstimate:
     """Exact inf of window mass / volume over placements in the symmetric box.
 
@@ -234,18 +314,22 @@ def lower_density_profile(
     filled-out one.  With ``next_level_pts`` supplied, the infimum is taken
     over windows whose count agrees at both levels and the entry is marked
     trusted; with no stable window (or no next level) the raw infimum is
-    reported untrusted.  Sizes exceeding the box are skipped.
+    reported untrusted.  Sizes exceeding the box are skipped.  In 2-D the
+    candidate windows of one size grow with the square of the set (about
+    6.7 n^2 on an irrational set), so a size with more than ``cap`` of them
+    raises ``BudgetExceeded`` before its sweep; in 1-D they grow linearly.
     """
     dim = _require_dim(pts, "lower_density_profile")
     if next_level_pts is not None and next_level_pts.dim != dim:
         raise UnsupportedDimension("next_level_pts dimension differs")
     radius = np.max(np.abs(pts.points), axis=0)
+    ranked = [(q, *_y_ranks(q)) for q in (pts, next_level_pts) if q is not None]
     entries = []
     for size in schedule.sizes:
         if np.any(2 * radius < size):
             continue
         count, center, trusted = _inf_scan(
-            pts, next_level_pts, size, -radius + size / 2, radius - size / 2
+            ranked, size, -radius + size / 2, radius - size / 2, cap
         )
         entries.append(
             WindowEntry(

@@ -230,7 +230,7 @@ def _profiles(pair, args):
         nxt = expand_level(pair, args.level + 1, args.cap)
     except BudgetExceeded:
         nxt = None
-    lower = lower_density_profile(pts, schedule, nxt, level=args.level)
+    lower = lower_density_profile(pts, schedule, nxt, level=args.level, cap=args.cap)
     return schedule, upper, lower
 
 
@@ -393,7 +393,10 @@ def _add_common(sub, pair=True, level=True):
         sub.add_argument("--pair", required=True, help="pair-spec file")
     if level:
         sub.add_argument("--level", required=True, type=_positive_int, help="expansion level k")
-    sub.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP, help="mass budget")
+    sub.add_argument(
+        "--cap", type=_positive_int, default=DEFAULT_CAP,
+        help="work budget: expansion mass, raster cells, 2-D lower-scan windows",
+    )
     sub.add_argument("-o", "--output", help="output file (default: standard output)")
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, NotACollision
 from .pairs import SelfAffinePair
-from .pointset import WeightedPointSet, _canonicalize
+from .pointset import _MERGE_SCALE_ERROR, WeightedPointSet, _canonicalize
 
 #: Default cap on total mass m**k of an enumeration.
 DEFAULT_CAP = 2**24
@@ -63,12 +63,17 @@ def expand_level(pair: SelfAffinePair, k: int, cap: int = DEFAULT_CAP) -> Weight
     pts = digits.copy()
     w = np.ones(len(digits), dtype=np.int64)
     power = np.eye(pair.dim)
-    for _ in range(1, k):
-        power = b @ power
-        shifts = digits @ power.T
-        new_pts = (pts[:, None, :] + shifts[None, :, :]).reshape(-1, pair.dim)
-        new_w = np.repeat(w, m)
-        pts, w = _canonicalize(new_pts, new_w)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for _ in range(1, k):
+                power = b @ power
+                shifts = digits @ power.T
+                new_pts = (pts[:, None, :] + shifts[None, :, :]).reshape(-1, pair.dim)
+                new_w = np.repeat(w, m)
+                pts, w = _canonicalize(new_pts, new_w)
+    except FloatingPointError:
+        # a sum past the float range lies far past the merge scale
+        raise ValueError(_MERGE_SCALE_ERROR) from None
     return WeightedPointSet._from_canonical(pts, w)
 
 

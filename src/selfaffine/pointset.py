@@ -16,6 +16,7 @@ MERGE_TOL = 1e-9
 
 # Quantized merge keys must stay inside int64.
 _MAX_ABS_COORD = 4.0e9
+_MERGE_SCALE_ERROR = f"coordinate magnitude exceeds supported merge scale ({_MAX_ABS_COORD:g})"
 
 
 def _canonicalize(points: np.ndarray, weights: np.ndarray):
@@ -29,9 +30,7 @@ def _canonicalize(points: np.ndarray, weights: np.ndarray):
     preserved verbatim.
     """
     if points.size and np.max(np.abs(points)) >= _MAX_ABS_COORD:
-        raise ValueError(
-            f"coordinate magnitude exceeds supported merge scale ({_MAX_ABS_COORD:g})"
-        )
+        raise ValueError(_MERGE_SCALE_ERROR)
     keys = np.round(points / MERGE_TOL).astype(np.int64)
     # one sort by key, then by coordinates: each key group starts at its smallest member
     order = np.lexsort((*points.T[::-1], *keys.T[::-1]))

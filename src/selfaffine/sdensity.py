@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beurling import MeasureResult, _natural_ladder, _reciprocal_measure
+from .beurling import _SCAN_CELLS, MeasureResult, _natural_ladder, _reciprocal_measure
 from .errors import DimensionMismatch, UnsupportedDimension
 from .expansion import DEFAULT_CAP, _check_budget, expand_level
 from .pairs import SelfAffinePair
@@ -24,9 +24,6 @@ from .pointset import (
 
 #: Relative tolerance admitting intervals whose diameter sits at a threshold.
 THRESHOLD_TOL = 1e-12
-
-#: Interval values held at once by one block of the s-density scan.
-_SCAN_CELLS = 2**15
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
 """Raster covers, origin classification, and separation verdicts."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,17 @@ class TestRasterAttractor:
         assert coarse.outer == pytest.approx(4.359375)
         assert fine.outer == pytest.approx(2.107177734375)
         assert coarse.outer > fine.outer > 1.0
+
+    def test_twin_dragon_raster_memory_is_bounded(self, twin_dragon_pair):
+        raster_attractor(twin_dragon_pair, 16)  # first-call allocations stay out of the peak
+        tracemalloc.start()
+        try:
+            raster_attractor(twin_dragon_pair, 384)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 17.0 MiB before the corner indices were hoisted out of the iteration
+        assert peak <= 17.0 * 2**20
 
     def test_iteration_cap_reports_no_convergence(self, doubling_pair):
         _, capped = raster_attractor(doubling_pair, 256, max_iters=1)

@@ -2,13 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selfaffine import (
+    BudgetExceeded,
+    DensityEstimate,
     EmptyPointSet,
     MeasureResult,
     SingularMatrix,
     UnsupportedDimension,
     WeightedPointSet,
+    WindowEntry,
     WindowSchedule,
     expand_level,
     lebesgue_from_density,
@@ -19,6 +24,9 @@ from selfaffine import (
     upper_density_profile,
     validate_pair,
 )
+from selfaffine import beurling
+from selfaffine.beurling import BOUNDARY_TOL, _candidate_centers
+from selfaffine.pointset import _interval_counts, _prefix_sums
 
 TOL = 1e-12  # closed-window boundary tolerance, relative to window size
 
@@ -255,3 +263,178 @@ def test_lebesgue_divergent_on_collision(collision_pair):
 def test_empty_input_rejected():
     with pytest.raises(EmptyPointSet):
         WeightedPointSet([])
+
+
+# The per-slab scans as they were before the blocked sweep, kept verbatim as
+# the reference that the sweep must match exactly.
+
+
+def _sorted_slab(points: np.ndarray, weights: np.ndarray, lo: int, hi: int):
+    """Last coordinates of rows lo:hi in increasing order, with their prefix weights."""
+    ys, ws = points[lo:hi, -1], weights[lo:hi]
+    if points.shape[1] > 1:  # canonical order already sorts a 1-D set
+        order = np.argsort(ys, kind="stable")
+        ys, ws = ys[order], ws[order]
+    return ys, _prefix_sums(ws)
+
+
+def loop_sup_scan(pts, size: float):
+    """Largest weight of a window with its lower corner at a point, and the window centre.
+
+    In 2-D each distinct corner x cuts the slab of points with x in
+    [x, x + size], along which the window slides in y.  The first maximum
+    in scan order wins ties.
+    """
+    tol = BOUNDARY_TOL * size
+    xs = pts.points[:, 0]
+    if pts.dim == 1:
+        slabs = [(0, len(pts))]
+    else:
+        hi_x = np.searchsorted(xs, xs + (size + tol), side="right")
+        slabs = [(i, hi_x[i]) for i in range(len(xs)) if i == 0 or xs[i] != xs[i - 1]]
+    best = -1
+    best_center = None
+    for lo, hi in slabs:
+        line, pref = _sorted_slab(pts.points, pts.weights, lo, hi)
+        counts = pref[np.searchsorted(line, line + (size + tol), side="right")] - pref[:-1]
+        j = int(np.argmax(counts))
+        if counts[j] > best:
+            best = int(counts[j])
+            anchor = (float(xs[lo] + size / 2),) if pts.dim == 2 else ()
+            best_center = anchor + (float(line[j] + size / 2),)
+    return best, best_center
+
+
+def loop_inf_scan(pts, nxt, size, zlo, zhi):
+    """Least window count over the candidate centres, preferring stable windows.
+
+    The last axis is scanned along lines: the whole set in 1-D, and in 2-D
+    the slab of points whose x lies in the window, for each candidate x.
+    """
+    sets = [pts] if nxt is None else [pts, nxt]
+    centers = []
+    for a in range(pts.dim):
+        breaks = np.concatenate([q.points[:, a] + h for q in sets for h in (-size / 2, size / 2)])
+        centers.append(_candidate_centers(breaks, zlo[a], zhi[a]))
+    tol = BOUNDARY_TOL * size
+    lows = [c - size / 2 - tol for c in centers]
+    highs = [c + size / 2 + tol for c in centers]
+
+    def line_counts(q, i):
+        """Counts at (x centre i, each last-axis centre); i is None in 1-D."""
+        lo, hi = 0, len(q)
+        if i is not None:
+            lo = np.searchsorted(q.points[:, 0], lows[0][i], side="left")
+            hi = np.searchsorted(q.points[:, 0], highs[0][i], side="right")
+        line, pref = _sorted_slab(q.points, q.weights, lo, hi)
+        return _interval_counts(line, pref, lows[-1], highs[-1])
+
+    # stable windows rank before unstable ones, then by count, then first in scan order
+    unstable_offset = pts.total_mass + 1
+    best = None
+    for i in range(len(centers[0])) if pts.dim == 2 else [None]:
+        counts = line_counts(pts, i)
+        stable = np.zeros(len(counts), bool) if nxt is None else counts == line_counts(nxt, i)
+        rank = np.where(stable, counts, counts + unstable_offset)
+        j = int(np.argmin(rank))
+        if best is None or rank[j] < best[0]:
+            at = (j,) if i is None else (i, j)
+            center = tuple(float(c[k]) for c, k in zip(centers, at))
+            best = (rank[j], int(counts[j]), center, bool(stable[j]))
+    return best[1:]
+
+
+def loop_profiles(pts, schedule, nxt, level):
+    """Upper and lower profiles built from the reference scans."""
+    dim = pts.dim
+    radius = np.max(np.abs(pts.points), axis=0)
+    upper, lower = [], []
+    for size in schedule.sizes:
+        count, center = loop_sup_scan(pts, size)
+        upper.append(WindowEntry(size, sup_count=count, sup_value=count / size**dim,
+                                 argmax_center=center))
+        if np.any(2 * radius < size):
+            continue
+        count, center, trusted = loop_inf_scan(pts, nxt, size, -radius + size / 2,
+                                               radius - size / 2)
+        lower.append(WindowEntry(size, inf_count=count, inf_value=count / size**dim,
+                                 argmin_center=center, trusted=trusted))
+    mult = int(pts.weights.max())
+    return (DensityEstimate(dim, tuple(upper), level, mult),
+            DensityEstimate(dim, tuple(lower), level, mult))
+
+
+def sweep_profiles(pts, schedule, nxt, level):
+    return (upper_density_profile(pts, schedule, level=level),
+            lower_density_profile(pts, schedule, nxt, level=level))
+
+
+@st.composite
+def window_cases(draw):
+    """A 1-D or 2-D weighted set, an optional next level and a schedule.
+
+    Coordinates come from a lattice or from a small pool of floats, so x and
+    y values repeat; some window sizes equal coordinate gaps.
+    """
+    dim = draw(st.sampled_from([1, 2, 2]))
+    if draw(st.booleans()):
+        coord = st.integers(-6, 6).map(float)
+    else:
+        pool = draw(st.lists(st.floats(-10, 10, allow_subnormal=False), min_size=1, max_size=12))
+        coord = st.sampled_from(pool)
+    rows = st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=30)
+    points = draw(rows)
+    pts = WeightedPointSet(np.array(points), draw(
+        st.lists(st.integers(1, 3), min_size=len(points), max_size=len(points))))
+    nxt = None
+    if draw(st.booleans()):
+        # the next level keeps this level's points and adds some, some heavier
+        extra = draw(st.lists(st.tuples(*[coord] * dim), max_size=30))
+        nxt = WeightedPointSet(
+            np.array(points + extra),
+            draw(st.lists(st.integers(1, 3), min_size=len(points) + len(extra),
+                          max_size=len(points) + len(extra))),
+        )
+    coords = pts.points.ravel()
+    gaps = np.unique(np.abs(coords[:, None] - coords[None, :]))
+    size = st.floats(0.05, 30.0)
+    gaps = [float(g) for g in gaps if g > 1e-6]  # a tiny size**dim would underflow to 0
+    if gaps:
+        size = st.one_of(size, st.sampled_from(gaps))
+    sizes = sorted(set(draw(st.lists(size, min_size=1, max_size=5))))
+    return pts, nxt, WindowSchedule(tuple(sizes))
+
+
+@settings(max_examples=300, deadline=None)
+@given(window_cases(), st.integers(1, 64))
+def test_blocked_sweep_equals_slab_loops(case, cells):
+    pts, nxt, schedule = case
+    with pytest.MonkeyPatch.context() as mp:
+        # a few counts per block, so one scan spans many blocks
+        mp.setattr(beurling, "_SCAN_CELLS", cells)
+        got = sweep_profiles(pts, schedule, nxt, level=3)
+    assert got == loop_profiles(pts, schedule, nxt, level=3)
+
+
+SPIRAL = ([[1.9, -0.7], [0.7, 1.9]], [[0, 0], [1, 0], [0.37, 0.71]])
+
+
+@pytest.mark.parametrize("cells", [1, 37, 2**16])
+def test_blocked_sweep_equals_slab_loops_on_expansions(twin_dragon_pair, monkeypatch, cells):
+    monkeypatch.setattr(beurling, "_SCAN_CELLS", cells)
+    for pair, levels in ((twin_dragon_pair, range(1, 9)), (validate_pair(*SPIRAL), range(1, 5))):
+        for k in levels:
+            pts, nxt = expand_level(pair, k), expand_level(pair, k + 1)
+            schedule = natural_schedule(pts, 5)
+            assert sweep_profiles(pts, schedule, nxt, k) == loop_profiles(pts, schedule, nxt, k)
+
+
+def test_lower_2d_candidate_windows_are_budgeted(twin_dragon_pair, doubling_pair):
+    pts = expand_level(twin_dragon_pair, 6)
+    schedule = WindowSchedule((2.0,))
+    with pytest.raises(BudgetExceeded, match="candidate windows at size 2 exceed cap 10"):
+        lower_density_profile(pts, schedule, cap=10)
+    assert lower_density_profile(pts, schedule, cap=10**6).entries
+    # a 1-D scan's candidates grow only linearly with the set; it has no budget
+    line = expand_level(doubling_pair, 6)
+    assert lower_density_profile(line, schedule, cap=1).entries

@@ -122,6 +122,15 @@ def test_density_skips_oversized_lower_windows(pair_file):
     assert lines[-1] == "600,256,0.426666666667,300,,,,"
 
 
+def test_density_2d_lower_windows_beyond_cap_are_domain_error(pair_file):
+    path = pair_file(DRAGON)
+    # the expansion fits the cap; the lower scan's candidate windows do not
+    result = run("density", "--pair", path, "--level", "6", "--cap", "100")
+    assert result.returncode == 1
+    assert "exceed cap" in result.stderr
+    assert run("density", "--pair", path, "--level", "6", "--cap", "1000").returncode == 0
+
+
 def test_sdensity_uses_similarity_exponent(pair_file):
     path = pair_file(CANTOR)
     result = run("sdensity", "--pair", path, "--level", "10")
@@ -381,8 +390,10 @@ SINGLE_DIGIT = "dim 1\nmatrix\n2\ndigits\n0\n"
         (SINGLE_DIGIT, ("sdensity", "--level", "3")),
         (SINGLE_DIGIT, ("check", "--level", "3")),
         (CANTOR, ("expand", "--level", "21")),
+        ("dim 1\nmatrix\n2\ndigits\n0\n1e308\n", ("expand", "--level", "3")),
     ],
-    ids=["sdensity-s2", "density-single", "sdensity-single", "check-single", "expand-scale"],
+    ids=["sdensity-s2", "density-single", "sdensity-single", "check-single", "expand-scale",
+         "expand-overflow"],
 )
 def test_library_value_errors_exit_1_without_traceback(pair_file, text, argv):
     path = pair_file(text)

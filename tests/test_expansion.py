@@ -1,6 +1,7 @@
 """Level-k expansion enumeration against independent brute-force oracles."""
 
 import itertools
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -93,6 +94,20 @@ def test_pointwise_weight_monotonicity(collision_pair):
 def test_budget_enforced(doubling_pair):
     with pytest.raises(BudgetExceeded):
         expand_level(doubling_pair, 30, cap=2**20)
+
+
+@pytest.mark.parametrize(
+    "matrix,digits",
+    [([[2.0]], [[0.0], [1e308]]), ([[1e300]], [[0.0], [1e9]]),
+     ([[2.0, 0.0], [0.0, 2.0]], [[0.0, 0.0], [0.0, 1e308]])],
+    ids=["digit-near-float-limit", "matrix-near-float-limit", "2-d"],
+)
+def test_float_overflow_is_the_merge_scale_error(matrix, digits):
+    pair = validate_pair(matrix, digits)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="merge scale"):
+            expand_level(pair, 3)
 
 
 def test_analyze_no_collision(doubling_pair):

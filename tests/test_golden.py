@@ -80,6 +80,15 @@ CORPUS = [
     # weights above 1
     (("expand", "{collider}", "--level", "2"),
      "9bb94a796b774877d155214ab086189e9a2e11bc7a7395b2d3c663f0a13f1caa"),
+    # 2-D window scans on an irrational set (no repeated x or y) and on a lattice
+    (("density", "{spiral}", "--level", "5"),
+     "3b7a6c64f9e0daa3f0bb7c36b971be045bf542451ffaed8445b0b94915b251be"),
+    (("check", "{dragon}", "--level", "12"),
+     "d32898da1827c10aabd2f4d840372b43edea1542504494192556b227785dfc89"),
+    (("classify-origin", "{dragon}", "--level", "10"),
+     "1172ce175d0ac8c2e0a834e4c6a0ce70fd9024b9dc3b6316b3f28ca0e4540cb4"),
+    (("raster", "{spiral}", "--resolution", "48"),
+     "36e3bffed0cda8c2353b031de21ea150eb6a8c864feb83c626d1503053b714c0"),
 ]
 
 
