@@ -11,7 +11,7 @@ Finite truncations under-count the infinite expansion far from the origin.
 A lower-scan window is therefore only *trusted* when the next level assigns
 it the same count; untrusted entries are reported but carry trusted=False.
 
-Both scans count a window's points in two steps.  In canonical
+In 2-D both scans count a window's points in two steps.  In canonical
 (lexicographic) order the points whose x lies in the window form a slab,
 a contiguous run of rows, and as the window moves right both ends of the
 run only advance.  One sliding-slab sweep therefore keeps each slab's
@@ -20,6 +20,13 @@ leaving, a block of slabs at a time, and a cumulative sum along y turns a
 block into window counts.  Counts are integers throughout and every
 boundary test is the float comparison a per-slab scan makes, so results,
 ties included, are exactly those of scanning slab by slab.
+
+In 1-D the lower scan searches a level and its next level together: one
+sorted array holds the distinct coordinates of both, each level keeps its
+prefix weights over that array, and one pair of searches per candidate
+centre serves both levels.  The 2-D lower scan keeps one sweep per level,
+because a merged sweep would widen each level's histogram to the y values
+of both sets.
 """
 from __future__ import annotations
 
@@ -189,9 +196,11 @@ def _sup_scan(pts: WeightedPointSet, size: float, yu, ranks):
     best, at = -1, None
     for a, pref in _slab_prefixes(pts, ranks, ny, lo, hi, max(1, _SCAN_CELLS // (ny + 1))):
         counts = pref[:, top] - pref[:, :-1]
-        # a y-rank absent from the slab is no corner there: it counts 0,
-        # below every corner, which counts at least its own weight
-        counts *= pref[:, 1:] != pref[:, :-1]
+        if ranks is not None:
+            # a y-rank absent from the slab is no corner there: it counts 0,
+            # below every corner, which counts at least its own weight (a
+            # 1-D set's one slab holds every rank)
+            counts *= pref[:, 1:] != pref[:, :-1]
         k = int(np.argmax(counts))
         if counts.flat[k] > best:
             best = int(counts.flat[k])
@@ -199,6 +208,24 @@ def _sup_scan(pts: WeightedPointSet, size: float, yu, ranks):
     i, r = at
     anchor = (float(xs[lo[i]] + size / 2),) if pts.dim == 2 else ()
     return best, anchor + (float(yu[r] + size / 2),)
+
+
+def _window_volumes(schedule: WindowSchedule, dim: int) -> list[float]:
+    """Each window's volume size**dim; ``ValueError`` when one underflows to 0 or overflows."""
+    volumes = []
+    for size in schedule.sizes:
+        try:
+            volume = size**dim
+        except OverflowError:
+            raise ValueError(
+                f"window size {size:g} is too large: its volume overflows in dimension {dim}"
+            ) from None
+        if volume == 0:
+            raise ValueError(
+                f"window size {size:g} is too small: its volume underflows to 0 in dimension {dim}"
+            )
+        volumes.append(volume)
+    return volumes
 
 
 def upper_density_profile(
@@ -209,17 +236,19 @@ def upper_density_profile(
     """Exact sup of window mass / volume over all cube placements, per size.
 
     Ties in the argmax go to the lexicographically smallest window corner.
+    A size whose volume underflows to 0 or overflows raises ``ValueError``.
     """
     dim = _require_dim(pts, "upper_density_profile")
+    volumes = _window_volumes(schedule, dim)
     yu, ranks = _y_ranks(pts)
     entries = []
-    for size in schedule.sizes:
+    for size, volume in zip(schedule.sizes, volumes):
         count, center = _sup_scan(pts, size, yu, ranks)
         entries.append(
             WindowEntry(
                 size=size,
                 sup_count=count,
-                sup_value=count / size**dim,
+                sup_value=count / volume,
                 argmax_center=center,
             )
         )
@@ -232,67 +261,111 @@ def upper_density_profile(
 
 
 def _candidate_centers(breaks: np.ndarray, zlo: float, zhi: float) -> np.ndarray:
-    """Midpoints of the cells cut by ``breaks`` in [zlo, zhi], plus both ends."""
-    inner = np.unique(breaks[(breaks > zlo) & (breaks < zhi)])
-    grid = np.concatenate([[zlo], inner, [zhi]])
+    """Midpoints of the cells cut by ``breaks`` in [zlo, zhi], plus both ends.
+
+    The breaks arrive as a few runs, each sorted when its coordinates are
+    (a 1-D set, or x in 2-D), which a stable sort merges in linear time.
+    """
+    inner = np.sort(breaks[(breaks > zlo) & (breaks < zhi)], kind="stable")
+    first = np.ones(len(inner), dtype=bool)
+    first[1:] = inner[1:] != inner[:-1]
+    grid = np.concatenate([[zlo], inner[first], [zhi]])
     return np.concatenate([[zlo], (grid[:-1] + grid[1:]) / 2.0, [zhi]])
 
 
-def _inf_scan(ranked, size, zlo, zhi, cap):
-    """Least window count over the candidate centres, preferring stable windows.
+def _merged_line(sets):
+    """The sorted distinct coordinates of 1-D sets, and each set's prefix weights over them.
 
-    ``ranked`` holds (set, distinct y, y-ranks) for the level and, when
-    given, for the next level.  The last axis is scanned along lines: the
-    whole set in 1-D, and in 2-D the slab of points whose x lies in the
-    window, one per candidate x.  Each set's slabs are read off one blocked
-    sweep (``_slab_prefixes``), and the sweeps advance block by block over
-    the same candidate x, at most ``_SCAN_CELLS`` counts per block beyond a
-    single line.  Stable windows (same count at both levels) rank before
-    unstable ones, then by count, then first in row-major order (x centre,
-    then y centre).  In 2-D, more than ``cap`` candidate windows at this
-    size raise ``BudgetExceeded`` before the sweep.
+    Every coordinate of a set is among the merged ones, so a set's weight
+    below a merged position is its weight below that value.
     """
-    pts = ranked[0][0]
-    # window edges that put a point on the boundary cut each axis into cells;
-    # the edge arrays are freed axis by axis
-    half = (-size / 2, size / 2)
-    centers = [
-        _candidate_centers(
-            np.concatenate([q.points[:, a] + h for q, _, _ in ranked for h in half]), zlo[a], zhi[a]
-        )
-        for a in range(pts.dim)
-    ]
-    windows = math.prod(map(len, centers))
-    if pts.dim == 2 and windows > cap:
-        raise BudgetExceeded(f"{windows} candidate windows at size {size:g} exceed cap {cap}")
+    u = np.unique(np.concatenate([q.points[:, 0] for q in sets]))
+    prefs = []
+    for q in sets:
+        w = np.zeros(len(u), dtype=np.int64)
+        w[np.searchsorted(u, q.points[:, 0])] = q.weights
+        prefs.append(_prefix_sums(w))
+    return u, prefs
+
+
+def _cut(values, centers, size, side):
+    """Per centre, the sorted values below its window's low edge (left) or up to its high edge."""
     tol = BOUNDARY_TOL * size
+    edge = centers - size / 2 - tol if side == "left" else centers + size / 2 + tol
+    return np.searchsorted(values, edge, side=side)
 
-    def cut(values, c, side):
-        """Per centre in c, the sorted values below its low edge (left) or up to its high edge."""
-        edge = c - size / 2 - tol if side == "left" else c + size / 2 + tol
-        return np.searchsorted(values, edge, side=side)
 
+def _line_counts(line, size, centers):
+    """Each level's count at every centre of a 1-D scan, as one block of one row."""
+    u, prefs = line
+    lo, hi = (_cut(u, centers[0], size, side) for side in ("left", "right"))
+    return [(0, [(pref[hi] - pref[lo])[None] for pref in prefs])]
+
+
+def _slab_counts(ranked, size, centers):
+    """Each level's counts at the candidate cells of a 2-D scan, a block of x centres at a time."""
     ncol = len(centers[-1])
     rows = max(1, _SCAN_CELLS // max(ncol, *(len(yu) + 1 for _, yu, _ in ranked)))
     sweeps, edges = [], []
     for q, yu, ranks in ranked:
-        if pts.dim == 1:
-            lo, hi = [0], [len(q)]
-        else:
-            lo, hi = (cut(q.points[:, 0], centers[0], side) for side in ("left", "right"))
+        lo, hi = (_cut(q.points[:, 0], centers[0], size, side) for side in ("left", "right"))
         sweeps.append(_slab_prefixes(q, ranks, len(yu), lo, hi, rows))
-        edges.append([cut(yu, centers[-1], side) for side in ("left", "right")])
-
-    unstable_offset = pts.total_mass + 1
-    best = None
+        edges.append([_cut(yu, centers[-1], size, side) for side in ("left", "right")])
     for blocks in zip(*sweeps):
         counts = [pref[:, top] - pref[:, bottom] for (_, pref), (bottom, top) in zip(blocks, edges)]
+        yield blocks[0][0], counts
+
+
+def _inf_scan(levels, size, zlo, zhi, cap, offset):
+    """Least window count over the candidate centres, preferring stable windows.
+
+    Window edges that put a point on the boundary cut each axis into cells,
+    and a cell's midpoint is a candidate centre.
+
+    In 1-D ``levels`` is the merged line of the level and, when given, its
+    next level (``_merged_line``).  The breaks are the merged coordinates
+    plus and minus size/2, each centre's window ends are one search into
+    the merged coordinates, and each level's count is read from its own
+    prefix at those ends.
+
+    In 2-D ``levels`` holds (set, distinct y, y-ranks) per level.  The last
+    axis is scanned along the slab of points whose x lies in the window,
+    one per candidate x.  Each set's slabs are read off its own blocked
+    sweep (``_slab_prefixes``), and the sweeps advance block by block over
+    the same candidate x, at most ``_SCAN_CELLS`` counts per block beyond a
+    single line.  The levels keep separate sweeps because a merged sweep
+    would widen the level's histogram to the y values of both.  More than
+    ``cap`` candidate windows at this size raise ``BudgetExceeded`` before
+    the sweep.
+
+    Stable windows (same count at both levels) rank before unstable ones,
+    whose rank is raised by ``offset``, more than any count; then by count,
+    then first in row-major order (x centre, then y centre).
+    """
+    dim = len(zlo)
+    if dim == 1:
+        coords = [[levels[0]]]
+    else:
+        coords = [[q.points[:, a] for q, _, _ in levels] for a in range(dim)]
+    # the break arrays are freed axis by axis
+    half = (-size / 2, size / 2)
+    centers = [
+        _candidate_centers(np.concatenate([c + h for c in cs for h in half]), zlo[a], zhi[a])
+        for a, cs in enumerate(coords)
+    ]
+    windows = math.prod(map(len, centers))
+    if dim == 2 and windows > cap:
+        raise BudgetExceeded(f"{windows} candidate windows at size {size:g} exceed cap {cap}")
+    blocks = (_line_counts if dim == 1 else _slab_counts)(levels, size, centers)
+    ncol = len(centers[-1])
+    best = None
+    for row, counts in blocks:
         stable = counts[0] == counts[1] if len(counts) == 2 else np.zeros(counts[0].shape, bool)
-        rank = np.where(stable, counts[0], counts[0] + unstable_offset)
+        rank = np.where(stable, counts[0], counts[0] + offset)
         k = int(np.argmin(rank))
         if best is None or rank.flat[k] < best[0]:
             i, j = divmod(k, ncol)
-            at = (j,) if pts.dim == 1 else (blocks[0][0] + i, j)
+            at = (j,) if dim == 1 else (row + i, j)
             center = tuple(float(c[t]) for c, t in zip(centers, at))
             best = (rank.flat[k], int(counts[0].flat[k]), center, bool(stable.flat[k]))
     return best[1:]
@@ -314,28 +387,35 @@ def lower_density_profile(
     filled-out one.  With ``next_level_pts`` supplied, the infimum is taken
     over windows whose count agrees at both levels and the entry is marked
     trusted; with no stable window (or no next level) the raw infimum is
-    reported untrusted.  Sizes exceeding the box are skipped.  In 2-D the
-    candidate windows of one size grow with the square of the set (about
-    6.7 n^2 on an irrational set), so a size with more than ``cap`` of them
-    raises ``BudgetExceeded`` before its sweep; in 1-D they grow linearly.
+    reported untrusted.  Sizes exceeding the box are skipped, and a size
+    whose volume underflows to 0 or overflows raises ``ValueError``.
+
+    In 1-D both levels are scanned together over their merged coordinates
+    (``_merged_line``), built once for all sizes.  In 2-D each level keeps
+    its own slab sweep; the candidate windows of one size grow with the
+    square of the set (about 6.7 n^2 on an irrational set), so a size with
+    more than ``cap`` of them raises ``BudgetExceeded`` before its sweep.
+    In 1-D they grow linearly.
     """
     dim = _require_dim(pts, "lower_density_profile")
     if next_level_pts is not None and next_level_pts.dim != dim:
         raise UnsupportedDimension("next_level_pts dimension differs")
+    volumes = _window_volumes(schedule, dim)
     radius = np.max(np.abs(pts.points), axis=0)
-    ranked = [(q, *_y_ranks(q)) for q in (pts, next_level_pts) if q is not None]
+    sets = [q for q in (pts, next_level_pts) if q is not None]
+    levels = _merged_line(sets) if dim == 1 else [(q, *_y_ranks(q)) for q in sets]
     entries = []
-    for size in schedule.sizes:
+    for size, volume in zip(schedule.sizes, volumes):
         if np.any(2 * radius < size):
             continue
         count, center, trusted = _inf_scan(
-            ranked, size, -radius + size / 2, radius - size / 2, cap
+            levels, size, -radius + size / 2, radius - size / 2, cap, pts.total_mass + 1
         )
         entries.append(
             WindowEntry(
                 size=size,
                 inf_count=count,
-                inf_value=count / size**dim,
+                inf_value=count / volume,
                 argmin_center=center,
                 trusted=trusted,
             )

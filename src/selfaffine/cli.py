@@ -27,6 +27,7 @@ from .attractor import (
 )
 from .beurling import (
     WindowSchedule,
+    _window_volumes,
     lebesgue_from_density,
     lower_density_profile,
     natural_schedule,
@@ -225,6 +226,10 @@ def _profiles(pair, args):
     schedule = WindowSchedule(
         _resolve_sizes(args.windows, lambda count: natural_schedule(pts, count).sizes)
     )
+    try:
+        _window_volumes(schedule, pts.dim)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     upper = upper_density_profile(pts, schedule, level=args.level)
     try:
         nxt = expand_level(pair, args.level + 1, args.cap)

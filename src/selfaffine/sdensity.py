@@ -85,7 +85,8 @@ def upper_s_density_profile(
     For each threshold r only intervals of diameter >= r compete, so the sup
     is nonincreasing in r.  Thresholds with no admissible interval (for
     instance r beyond the support extent) produce no entry; a threshold that
-    is not positive raises ``ValueError``.
+    is not positive, or so small that it admits an interval of length 0
+    (some anchor plus r rounds back to the anchor), raises ``ValueError``.
 
     One pass over the left endpoints (anchors) serves every threshold.  The
     anchors are taken in blocks of at most ``_SCAN_CELLS`` interval values,
@@ -114,6 +115,13 @@ def upper_s_density_profile(
     r_pow = np.array([r**s for r in r_adm])[:, None]
     # first admissible right end per threshold (rows) and anchor (columns)
     j0 = np.searchsorted(xs, xs + np.array(r_adm)[:, None], side="left")
+    # a threshold below an anchor's float spacing admits the anchor itself
+    zero = (j0 == np.arange(n)).any(axis=1)
+    if zero.any():
+        raise ValueError(
+            f"threshold {rs[int(np.argmax(zero))]:g} admits an interval of length 0:"
+            " it is below the float spacing of the coordinates"
+        )
     best = np.full(T, -np.inf)
     winner = np.zeros(T, dtype=np.int64)
     # anchors past n_live have no admissible right end at any threshold

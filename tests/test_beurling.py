@@ -1,5 +1,8 @@
 """Window-density scans against exhaustive point-anchored oracles."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -438,3 +441,73 @@ def test_lower_2d_candidate_windows_are_budgeted(twin_dragon_pair, doubling_pair
     # a 1-D scan's candidates grow only linearly with the set; it has no budget
     line = expand_level(doubling_pair, 6)
     assert lower_density_profile(line, schedule, cap=1).entries
+
+
+# 1-D lower scans search the merged coordinates of both levels once
+LINE_CASES = {
+    # 4e-10 merges with 0 at MERGE_TOL but is a different float, so the merged
+    # line holds both.  At size 1 the only stable windows hold 0 and 4e-10 and
+    # no other point; the first of them starts at a break of the next level.
+    "shifted-representative": ([-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0], [1] * 7,
+                               [-3.0, -2.0, -1.0, 4e-10, 1.0, 2.0, 3.0], [2, 2, 2, 1, 2, 2, 2]),
+    "next-lacks-a-point": ([-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0], [1, 1, 1, 2, 1, 1, 1],
+                           [-3.0, -2.0, -1.0, 0.0, 2.0, 3.0, 4.0], [1, 1, 1, 2, 1, 1, 1]),
+    "no-next-level": ([-3.0, -1.0, 0.0, 2.0, 7.0], [1, 1, 2, 1, 1], None, None),
+    # a next-level point exactly on the low edge of the first size-2 window,
+    # centred at -4 + 1: it is inside that window, so the window is unstable
+    "next-point-on-low-edge": ([0.0, 1.0, 2.0, 3.0, 4.0], [1] * 5,
+                               [-3.0 - 1.0 - BOUNDARY_TOL * 2.0, 0.0, 1.0, 2.0, 3.0, 4.0],
+                               [1] * 6),
+}
+
+
+@pytest.mark.parametrize("case", LINE_CASES.values(), ids=LINE_CASES.keys())
+def test_merged_line_scan_equals_slab_loops(case):
+    x, w, nx, nw = case
+    pts = WeightedPointSet(x, w)
+    nxt = None if nx is None else WeightedPointSet(nx, nw)
+    gaps = np.unique(np.abs(np.subtract.outer(pts.points[:, 0], pts.points[:, 0])))
+    schedule = WindowSchedule(tuple(float(g) for g in gaps if g > 0) + (13.5,))
+    got = sweep_profiles(pts, schedule, nxt, level=3)
+    assert got == loop_profiles(pts, schedule, nxt, level=3)
+    assert got[1].entries
+
+
+def test_lower_1d_scan_memory_is_bounded(doubling_pair):
+    pts, nxt = expand_level(doubling_pair, 16), expand_level(doubling_pair, 17)
+    schedule = natural_schedule(pts)
+    tracemalloc.start()
+    try:
+        lower_density_profile(pts, schedule, nxt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 11.7 MiB with one search per level
+    assert peak <= 13 * 2**20
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from([-2.0, -0.5, 0.0, 0.25, 1.0, 3.0, 1e-12]), max_size=40),
+       st.floats(-3, 0), st.floats(0, 3))
+def test_candidate_centers_dedupe_like_unique(breaks, zlo, zhi):
+    breaks = np.array(breaks)
+    inner = np.unique(breaks[(breaks > zlo) & (breaks < zhi)])
+    grid = np.concatenate([[zlo], inner, [zhi]])
+    want = np.concatenate([[zlo], (grid[:-1] + grid[1:]) / 2.0, [zhi]])
+    assert np.array_equal(_candidate_centers(breaks, zlo, zhi), want)
+
+
+def test_window_volume_out_of_float_range_is_refused():
+    square = WeightedPointSet([[0.0, 0.0], [1.0, 1.0]])
+    # 1e-200**2 is 0 in floating point, and 1e200**2 overflows
+    cases = [((1e-200, 1.0), "window size 1e-200 is too small"),
+             ((1.0, 1e200), "window size 1e[+]200 is too large")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for sizes, message in cases:
+            for profile in (upper_density_profile, lower_density_profile):
+                with pytest.raises(ValueError, match=message):
+                    profile(square, WindowSchedule(sizes))
+    # a 1-D volume is the size itself, which is never 0
+    line = WeightedPointSet([0.0, 1.0])
+    assert upper_density_profile(line, WindowSchedule((5e-324, 1.0))).entries[0].sup_count == 1

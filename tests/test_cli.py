@@ -468,3 +468,28 @@ def test_natural_schedule_beyond_float_range_is_domain_error(pair_file):
     result = run("density", "--pair", path, "--level", "3", "--windows", "natural:1100")
     assert result.returncode == 1
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "windows,size",
+    [("geo:1e-200,1,3", "1e-200 is too small"), ("geo:1,1e200,3", "1e+200 is too large")],
+    ids=["underflow", "overflow"],
+)
+def test_window_whose_volume_leaves_float_range_is_usage_error(pair_file, windows, size):
+    # 1e-200**2 is 0 in floating point and 1e200**2 overflows; refused before any scan
+    path = pair_file(DRAGON)
+    result = run("density", "--pair", path, "--level", "4", "--windows", windows)
+    assert result.returncode == 2
+    assert result.stderr.startswith(f"usage error: window size {size}")
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
+def test_threshold_admitting_zero_length_interval_is_domain_error(pair_file):
+    path = pair_file(CANTOR)
+    result = run("sdensity", "--pair", path, "--level", "4", "--thresholds", "geo:1e-300,1,3")
+    assert result.returncode == 1
+    # one line of ours and nothing from numpy
+    assert result.stderr.startswith("error: threshold 1e-300 admits an interval of length 0")
+    assert result.stderr.count("\n") == 1
+    assert result.stdout == ""

@@ -89,6 +89,12 @@ CORPUS = [
      "1172ce175d0ac8c2e0a834e4c6a0ce70fd9024b9dc3b6316b3f28ca0e4540cb4"),
     (("raster", "{spiral}", "--resolution", "48"),
      "36e3bffed0cda8c2353b031de21ea150eb6a8c864feb83c626d1503053b714c0"),
+    # 1-D lower scans: weights above 1, and a two-sided support whose window
+    # sizes equal coordinate gaps
+    (("density", "{collider}", "--level", "6"),
+     "e4112a0fe7f24be6ad47000fe31931addb84cdb7753ea13291f9378dd5d27e99"),
+    (("density", "{negabinary}", "--level", "7", "--windows", "lin:2,8,4"),
+     "a4e9cc2a45e580fa5b91bf7f195b23dfca6aebc7496a8dcedb802cfef8242487"),
 ]
 
 

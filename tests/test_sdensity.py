@@ -443,3 +443,13 @@ def test_level_12_scan_memory_is_bounded(cantor_pair_32):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_threshold_admitting_zero_length_interval_rejected():
+    # 1e-6 + 1e-300 rounds back to 1e-6: the interval [1e-6, 1e-6] would be admitted
+    pts = WeightedPointSet([0, 1e-6, 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="threshold 1e-300 admits an interval of length 0"):
+            upper_s_density_profile(pts, 0.5, [1e-300, 0.5])
+    assert upper_s_density_profile(pts, 0.5, [1e-12]).entries[0].argmax == (0.0, 1e-6)
