@@ -27,6 +27,17 @@ prefix weights over that array, and one pair of searches per candidate
 centre serves both levels.  The 2-D lower scan keeps one sweep per level,
 because a merged sweep would widen each level's histogram to the y values
 of both sets.
+
+A 1-D scan whose sorted coordinates are integers, all below 2**52 in
+magnitude, on a span of at most ``_TABLE_SPAN`` times their count (the
+lattice of an integral tile, filled almost without gaps) reads its window
+edges off a rank table, ``P[k] = #{v < v[0] + k}``, built once per
+profile.  For integer v, v < e exactly when v < ceil(e), and v <= e
+exactly when v < floor(e) + 1; ``ceil`` and ``floor`` of a double are
+exact, and so is integer arithmetic below 2**53, so each lookup returns
+what the binary search returns and every count, centre and tie is
+unchanged.  Any other set, and every 2-D scan, keeps the binary search;
+``_search`` alone chooses between the two.
 """
 from __future__ import annotations
 
@@ -47,6 +58,10 @@ NATURAL_SCHEDULE_LEN = 9
 
 #: Counts held at once by one block of a blocked scan, here and in ``sdensity``.
 _SCAN_CELLS = 2**15
+
+#: Largest span of sorted integer coordinates, as a multiple of their count,
+#: that a 1-D scan reads off a rank table (``_rank_table``).
+_TABLE_SPAN = 4
 
 
 @dataclass(frozen=True)
@@ -129,6 +144,43 @@ def _require_dim(pts: WeightedPointSet, op: str) -> int:
     return pts.dim
 
 
+def _rank_table(values: np.ndarray):
+    """``P[k] = #{v < values[0] + k}`` over sorted values, or None when they do not qualify.
+
+    The values qualify when each is an integer below 2**52 in magnitude and
+    their span ``values[-1] - values[0] + 1`` is at most ``_TABLE_SPAN``
+    times their count; the table then has span + 1 int32 entries.
+    """
+    v0, v1 = float(values[0]), float(values[-1])
+    span = v1 - v0 + 1
+    if not (-(2.0**52) < v0 and v1 < 2.0**52 and span <= _TABLE_SPAN * len(values)):
+        return None
+    if not np.array_equal(np.floor(values), values):
+        return None
+    table = np.zeros(int(span) + 1, dtype=np.int32)
+    np.cumsum(np.bincount((values - v0).astype(np.intp), minlength=int(span)), out=table[1:])
+    return table
+
+
+def _search(values: np.ndarray, table, edges: np.ndarray, side: str) -> np.ndarray:
+    """``np.searchsorted(values, edges, side=side)``, read off ``table`` when there is one.
+
+    With a rank table (``_rank_table``) the count of values below e is
+    ``P[ceil(e) - v0]`` and of values up to e ``P[floor(e) + 1 - v0]``,
+    the index clipped to the table.  Both are exact for integer values.
+    """
+    if table is None:
+        return np.searchsorted(values, edges, side=side)
+    if side == "left":
+        k = np.ceil(edges)
+        k -= values[0]
+    else:
+        k = np.floor(edges)
+        k -= values[0] - 1
+    np.clip(k, 0, len(table) - 1, out=k)
+    return table[k.astype(np.intp)]
+
+
 def _y_ranks(q: WeightedPointSet):
     """Distinct last coordinates of a set in increasing order, and each point's index among them.
 
@@ -173,7 +225,7 @@ def _slab_prefixes(q: WeightedPointSet, ranks, ny: int, lo, hi, rows: int):
         yield a, pref
 
 
-def _sup_scan(pts: WeightedPointSet, size: float, yu, ranks):
+def _sup_scan(pts: WeightedPointSet, size: float, yu, ranks, table):
     """Largest weight of a window with its lower corner at a point, and the window centre.
 
     In 2-D each distinct corner x cuts the slab of points with x in
@@ -181,8 +233,9 @@ def _sup_scan(pts: WeightedPointSet, size: float, yu, ranks):
     along the last axis with its lower edge at each y of the slab, so the
     slabs' box counts are read off one blocked sweep (``_slab_prefixes``,
     at most ``_SCAN_CELLS`` counts per block beyond a single slab) at the
-    y-ranks present in each slab.  Ties go to the first slab in increasing
-    x, then to the smallest y.
+    y-ranks present in each slab; ``table`` is the rank table of ``yu``,
+    or None.  Ties go to the first slab in increasing x, then to the
+    smallest y.
     """
     tol = BOUNDARY_TOL * size
     xs = pts.points[:, 0]
@@ -191,7 +244,7 @@ def _sup_scan(pts: WeightedPointSet, size: float, yu, ranks):
     else:
         lo = np.flatnonzero(np.concatenate([[True], xs[1:] != xs[:-1]]))
         hi = np.searchsorted(xs, xs[lo] + (size + tol), side="right")
-    top = np.searchsorted(yu, yu + (size + tol), side="right")
+    top = _search(yu, table, yu + (size + tol), "right")
     ny = len(yu)
     best, at = -1, None
     for a, pref in _slab_prefixes(pts, ranks, ny, lo, hi, max(1, _SCAN_CELLS // (ny + 1))):
@@ -237,13 +290,17 @@ def upper_density_profile(
 
     Ties in the argmax go to the lexicographically smallest window corner.
     A size whose volume underflows to 0 or overflows raises ``ValueError``.
+    The window tops of a 1-D set are looked up in the rank table of its
+    coordinates (``_rank_table``), built once for all sizes, when they
+    qualify for one; otherwise, and in 2-D, they are binary searches.
     """
     dim = _require_dim(pts, "upper_density_profile")
     volumes = _window_volumes(schedule, dim)
     yu, ranks = _y_ranks(pts)
+    table = _rank_table(yu) if dim == 1 else None
     entries = []
     for size, volume in zip(schedule.sizes, volumes):
-        count, center = _sup_scan(pts, size, yu, ranks)
+        count, center = _sup_scan(pts, size, yu, ranks, table)
         entries.append(
             WindowEntry(
                 size=size,
@@ -274,31 +331,38 @@ def _candidate_centers(breaks: np.ndarray, zlo: float, zhi: float) -> np.ndarray
 
 
 def _merged_line(sets):
-    """The sorted distinct coordinates of 1-D sets, and each set's prefix weights over them.
+    """The sorted distinct coordinates of 1-D sets, their rank table, and each set's prefix weights.
 
     Every coordinate of a set is among the merged ones, so a set's weight
-    below a merged position is its weight below that value.
+    below a merged position is its weight below that value.  The rank
+    table (``_rank_table``) is None when the merged coordinates do not
+    qualify for one.
     """
     u = np.unique(np.concatenate([q.points[:, 0] for q in sets]))
+    table = _rank_table(u)
     prefs = []
     for q in sets:
         w = np.zeros(len(u), dtype=np.int64)
-        w[np.searchsorted(u, q.points[:, 0])] = q.weights
+        w[_search(u, table, q.points[:, 0], "left")] = q.weights
         prefs.append(_prefix_sums(w))
-    return u, prefs
+    return u, table, prefs
 
 
-def _cut(values, centers, size, side):
-    """Per centre, the sorted values below its window's low edge (left) or up to its high edge."""
+def _cut(values, table, centers, size, side):
+    """Per centre, the sorted values below its window's low edge (left) or up to its high edge.
+
+    The edges are looked up in ``table``, the rank table of ``values``,
+    when there is one, and binary-searched otherwise (``_search``).
+    """
     tol = BOUNDARY_TOL * size
     edge = centers - size / 2 - tol if side == "left" else centers + size / 2 + tol
-    return np.searchsorted(values, edge, side=side)
+    return _search(values, table, edge, side)
 
 
 def _line_counts(line, size, centers):
     """Each level's count at every centre of a 1-D scan, as one block of one row."""
-    u, prefs = line
-    lo, hi = (_cut(u, centers[0], size, side) for side in ("left", "right"))
+    u, table, prefs = line
+    lo, hi = (_cut(u, table, centers[0], size, side) for side in ("left", "right"))
     return [(0, [(pref[hi] - pref[lo])[None] for pref in prefs])]
 
 
@@ -308,9 +372,9 @@ def _slab_counts(ranked, size, centers):
     rows = max(1, _SCAN_CELLS // max(ncol, *(len(yu) + 1 for _, yu, _ in ranked)))
     sweeps, edges = [], []
     for q, yu, ranks in ranked:
-        lo, hi = (_cut(q.points[:, 0], centers[0], size, side) for side in ("left", "right"))
+        lo, hi = (_cut(q.points[:, 0], None, centers[0], size, side) for side in ("left", "right"))
         sweeps.append(_slab_prefixes(q, ranks, len(yu), lo, hi, rows))
-        edges.append([_cut(yu, centers[-1], size, side) for side in ("left", "right")])
+        edges.append([_cut(yu, None, centers[-1], size, side) for side in ("left", "right")])
     for blocks in zip(*sweeps):
         counts = [pref[:, top] - pref[:, bottom] for (_, pref), (bottom, top) in zip(blocks, edges)]
         yield blocks[0][0], counts
@@ -324,9 +388,10 @@ def _inf_scan(levels, size, zlo, zhi, cap, offset):
 
     In 1-D ``levels`` is the merged line of the level and, when given, its
     next level (``_merged_line``).  The breaks are the merged coordinates
-    plus and minus size/2, each centre's window ends are one search into
-    the merged coordinates, and each level's count is read from its own
-    prefix at those ends.
+    plus and minus size/2, each centre's window ends are one lookup into
+    the merged coordinates (a rank-table read or a binary search, see
+    ``_search``), and each level's count is read from its own prefix at
+    those ends.
 
     In 2-D ``levels`` holds (set, distinct y, y-ranks) per level.  The last
     axis is scanned along the slab of points whose x lies in the window,
@@ -391,11 +456,11 @@ def lower_density_profile(
     whose volume underflows to 0 or overflows raises ``ValueError``.
 
     In 1-D both levels are scanned together over their merged coordinates
-    (``_merged_line``), built once for all sizes.  In 2-D each level keeps
-    its own slab sweep; the candidate windows of one size grow with the
-    square of the set (about 6.7 n^2 on an irrational set), so a size with
-    more than ``cap`` of them raises ``BudgetExceeded`` before its sweep.
-    In 1-D they grow linearly.
+    (``_merged_line``), built once for all sizes with their rank table when
+    they qualify for one.  In 2-D each level keeps its own slab sweep; the
+    candidate windows of one size grow with the square of the set (about
+    6.7 n^2 on an irrational set), so a size with more than ``cap`` of them
+    raises ``BudgetExceeded`` before its sweep.  In 1-D they grow linearly.
     """
     dim = _require_dim(pts, "lower_density_profile")
     if next_level_pts is not None and next_level_pts.dim != dim:

@@ -156,10 +156,17 @@ def _resolve_sizes(spec: str, natural) -> tuple[float, ...]:
     return build(start, stop, count).sizes
 
 
+#: The printed form of a number: 12 significant digits.
+_g12 = "{:.12g}".format
+
+#: Rows of ``expand`` output formatted together, one block at a time.
+_EXPAND_BLOCK = 4096
+
+
 def _cell(v) -> str:
     """One printed value: 12 significant digits, true/false, (a b) for a point, '' for None."""
     if isinstance(v, float):  # before bool and int; np.float64 is a float
-        return f"{v:.12g}"
+        return _g12(v)
     if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, tuple):
@@ -189,10 +196,22 @@ def _cmd_expand(args) -> str:
     pair = _load_pair(args.pair)
     pts = expand_level(pair, args.level, args.cap)
     header = ",".join(f"x_{i + 1}" for i in range(pts.dim)) + ",weight"
-    # rows are zipped from flat columns one at a time: no list of 2**k row tuples
-    rows = zip(*pts.points.T.tolist(), pts.weights.tolist())
-    body = itertools.chain([header], rows)
+    body = itertools.chain([header], _expand_blocks(pts))
     return _report(args, ("pair", "level", "cap"), {"regime": _regime(pair)}, body)
+
+
+def _expand_blocks(pts):
+    """The CSV rows of a point set as verbatim text, ``_EXPAND_BLOCK`` rows per string.
+
+    Each block formats its columns with one ``map`` each, coordinates by
+    the rule of ``_cell`` and weights by ``str``, and never builds a list
+    of every row or of a whole column's strings.
+    """
+    for a in range(0, len(pts), _EXPAND_BLOCK):
+        b = a + _EXPAND_BLOCK
+        cols = [map(_g12, c) for c in pts.points[a:b].T.tolist()]
+        cols.append(map(str, pts.weights[a:b].tolist()))
+        yield "\n".join(map(",".join, zip(*cols)))
 
 
 def _cmd_check(args) -> str:

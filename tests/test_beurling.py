@@ -1,5 +1,6 @@
 """Window-density scans against exhaustive point-anchored oracles."""
 
+import math
 import tracemalloc
 import warnings
 
@@ -377,27 +378,23 @@ def window_cases(draw):
     """A 1-D or 2-D weighted set, an optional next level and a schedule.
 
     Coordinates come from a lattice or from a small pool of floats, so x and
-    y values repeat; some window sizes equal coordinate gaps.
+    y values repeat; some window sizes equal coordinate gaps, and some
+    next-level points lie on window edges.
     """
     dim = draw(st.sampled_from([1, 2, 2]))
-    if draw(st.booleans()):
-        coord = st.integers(-6, 6).map(float)
+    lattice = draw(st.booleans())
+    # some sets are one-sided, as the expansions of (2, {0, 1}) are
+    low = draw(st.sampled_from([-1, 0]))
+    if lattice:
+        coord = st.integers(6 * low, 6).map(float)
     else:
-        pool = draw(st.lists(st.floats(-10, 10, allow_subnormal=False), min_size=1, max_size=12))
+        pool = draw(st.lists(st.floats(10 * low, 10, allow_subnormal=False), min_size=1,
+                             max_size=12))
         coord = st.sampled_from(pool)
     rows = st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=30)
     points = draw(rows)
     pts = WeightedPointSet(np.array(points), draw(
         st.lists(st.integers(1, 3), min_size=len(points), max_size=len(points))))
-    nxt = None
-    if draw(st.booleans()):
-        # the next level keeps this level's points and adds some, some heavier
-        extra = draw(st.lists(st.tuples(*[coord] * dim), max_size=30))
-        nxt = WeightedPointSet(
-            np.array(points + extra),
-            draw(st.lists(st.integers(1, 3), min_size=len(points) + len(extra),
-                          max_size=len(points) + len(extra))),
-        )
     coords = pts.points.ravel()
     gaps = np.unique(np.abs(coords[:, None] - coords[None, :]))
     size = st.floats(0.05, 30.0)
@@ -405,7 +402,45 @@ def window_cases(draw):
     if gaps:
         size = st.one_of(size, st.sampled_from(gaps))
     sizes = sorted(set(draw(st.lists(size, min_size=1, max_size=5))))
+    nxt = None
+    if draw(st.booleans()):
+        # the next level keeps this level's points and adds some, some heavier,
+        # some on the window edges c - size/2 and c + size/2 of centres c; a
+        # lattice keeps integer coordinates, so that its 1-D scans read a rank
+        # table
+        edges = [window_edges(pts.points[:, a].tolist(), sizes) for a in range(dim)]
+        if lattice:
+            edges = [edge.map(math.floor).map(float) for edge in edges]
+        if dim == 2:
+            edges = [st.one_of(coord, edge) for edge in edges]
+        extra = draw(st.lists(st.tuples(*[coord] * dim), max_size=30))
+        extra += draw(st.lists(st.tuples(*edges), min_size=1, max_size=6))
+        n = len(pts) + len(extra)
+        weights = np.array(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+        if draw(st.booleans()):
+            # most of this level's windows keep their counts
+            weights[:len(pts)] = pts.weights + (weights[:len(pts)] == 3)
+        nxt = WeightedPointSet(np.concatenate([pts.points, np.reshape(extra, (-1, dim))]), weights)
     return pts, nxt, WindowSchedule(tuple(sizes))
+
+
+@st.composite
+def window_edges(draw, coords, sizes):
+    """An outer edge of the lower scan, or c - size/2 or c + size/2 for a coordinate c.
+
+    The lower scan has a window at each end of its centre range; their
+    outer edges are computed as the scan computes them.  The edges at
+    coordinates carry the boundary tolerance or not.
+    """
+    radius = float(np.max(np.abs(coords)))
+    size = draw(st.sampled_from([s for s in sizes if s <= 2 * radius] or sizes))
+    tol = BOUNDARY_TOL * size
+    if draw(st.integers(0, 2)):
+        return draw(st.sampled_from([(-radius + size / 2) - size / 2 - tol,
+                                     (radius - size / 2) + size / 2 + tol]))
+    centre = draw(st.sampled_from(coords))
+    pad = draw(st.sampled_from([0.0, tol]))
+    return centre - size / 2 - pad if draw(st.booleans()) else centre + size / 2 + pad
 
 
 @settings(max_examples=300, deadline=None)
@@ -511,3 +546,50 @@ def test_window_volume_out_of_float_range_is_refused():
     # a 1-D volume is the size itself, which is never 0
     line = WeightedPointSet([0.0, 1.0])
     assert upper_density_profile(line, WindowSchedule((5e-324, 1.0))).entries[0].sup_count == 1
+
+
+# 1-D scans read window edges off a rank table when the coordinates qualify
+
+
+@st.composite
+def search_cases(draw):
+    """Sorted integer values with repeats, spans either side of the table cutoff, and edges.
+
+    The edges sit on every value, half a unit, one ulp and one boundary
+    tolerance away from it, far outside the span, and at -0.0.
+    """
+    n = draw(st.integers(1, 40))
+    span = draw(st.sampled_from([1, n, beurling._TABLE_SPAN * n, beurling._TABLE_SPAN * n + 1,
+                                 10 * n + 3]))
+    start = draw(st.one_of(st.integers(-50, 50), st.integers(-(2**51), 2**51)))
+    inner = draw(st.lists(st.integers(0, span - 1), min_size=max(0, n - 2), max_size=max(0, n - 2)))
+    values = np.sort(np.array([0, span - 1, *inner][:n], dtype=float) + start)
+    tol = BOUNDARY_TOL * draw(st.floats(0.05, 30.0))
+    offsets = [0.0, 0.5, -0.5, tol, -tol]
+    edges = [v + d for v in values for d in offsets]
+    edges += [x for v in values for x in (np.nextafter(v, np.inf), np.nextafter(v, -np.inf))]
+    edges += [values[0] - 1e6, values[-1] + 1e6, -1e300, 1e300, -0.0]
+    return values, np.array(edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(search_cases())
+def test_rank_table_search_equals_binary_search(case):
+    values, edges = case
+    table = beurling._rank_table(values)
+    assert (table is None) == (values[-1] - values[0] + 1 > beurling._TABLE_SPAN * len(values))
+    for side in ("left", "right"):
+        got = beurling._search(values, table, edges, side)
+        assert np.array_equal(got, np.searchsorted(values, edges, side=side))
+
+
+def test_rank_table_selection(doubling_pair, cantor_pair_32):
+    line = expand_level(doubling_pair, 16).points[:, 0]
+    assert beurling._rank_table(line) is not None
+    u, table, _ = beurling._merged_line([expand_level(doubling_pair, k) for k in (16, 17)])
+    assert table is not None and len(table) == u[-1] - u[0] + 2
+    # the Cantor set spans about 650 times its count
+    assert beurling._rank_table(expand_level(cantor_pair_32, 8).points[:, 0]) is None
+    one_off = np.arange(10.0)
+    one_off[5] = 5.5
+    assert beurling._rank_table(one_off) is None

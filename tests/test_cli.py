@@ -1,11 +1,13 @@
 """End-to-end command-line checks run through a real subprocess."""
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from selfaffine import parse_pair_spec, render_pair_spec
+from selfaffine.cli import main
 
 DOUBLING = "dim 1\nmatrix\n2\ndigits\n0\n1\n"
 NEGATIVE = "dim 1\nmatrix\n-2\ndigits\n0\n1\n"
@@ -313,6 +315,19 @@ def test_output_file_matches_stdout(pair_file, tmp_path):
     assert written.returncode == 0
     assert written.stdout == ""
     assert out.read_text(encoding="utf-8") == direct.stdout
+
+
+def test_expand_memory_is_bounded(pair_file, tmp_path):
+    # in-process, so that tracemalloc sees the formatting
+    argv = ["expand", "--pair", pair_file(DOUBLING), "--level", "16", "-o", str(tmp_path / "out")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 7.6 MiB when each value was formatted by _cell one at a time, 4.8 in blocks
+    assert peak <= 6 * 2**20
 
 
 def test_missing_pair_file_is_usage_error():

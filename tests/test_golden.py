@@ -95,6 +95,17 @@ CORPUS = [
      "e4112a0fe7f24be6ad47000fe31931addb84cdb7753ea13291f9378dd5d27e99"),
     (("density", "{negabinary}", "--level", "7", "--windows", "lin:2,8,4"),
      "a4e9cc2a45e580fa5b91bf7f195b23dfca6aebc7496a8dcedb802cfef8242487"),
+    # expand columns: non-integral and negative values whose repr is longer
+    # than 12 significant digits, negative integers, and three coordinates
+    (("expand", "{spiral}", "--level", "3"),
+     "ba88f1871605842b6e0d13b4056dbf6eaca5dd7c79287f58014bd8f7460f9823"),
+    (("expand", "{negabinary}", "--level", "5"),
+     "aa0e26b25d0c03e12400a078ccd66c9e562aa0e9b9637f39170ae8951b3f3bf6"),
+    (("expand", "{collider3}", "--level", "2"),
+     "f1caab7af44e5f0cff51fa7044ae1c7075a72c9965b095e8ff25871daeb1f1ab"),
+    # a 1-D integral set too sparse for a rank table: the scans search
+    (("density", "{cantor}", "--level", "6"),
+     "29f3138871a8efcd0f22ec2d5b870ce7a1f3236748531d15a302160f83f001c0"),
 ]
 
 
