@@ -20,7 +20,9 @@ PAIRS = {
     "collider3": "dim 3\nmatrix\n3 0 0\n0 3 0\n0 0 3\ndigits\n0 0 0\n1 0 0\n3 0 0\n",
 }
 
-# (argv with {pair} placeholders, sha256 of stdout)
+# (argv with {pair} placeholders, sha256 of stdout[, test id])
+# A test id is the argv without its pair; an entry whose id would clash with
+# an earlier entry's names its pair in an id of its own.
 CORPUS = [
     (("expand", "{doubling}", "--level", "3"),
      "7a68470ef9cf50a5ebf390fbbbfb2d2303732478862bdd5213d7e9e89165d4a0"),
@@ -98,14 +100,17 @@ CORPUS = [
     # expand columns: non-integral and negative values whose repr is longer
     # than 12 significant digits, negative integers, and three coordinates
     (("expand", "{spiral}", "--level", "3"),
-     "ba88f1871605842b6e0d13b4056dbf6eaca5dd7c79287f58014bd8f7460f9823"),
+     "ba88f1871605842b6e0d13b4056dbf6eaca5dd7c79287f58014bd8f7460f9823",
+     "expand spiral --level 3"),
     (("expand", "{negabinary}", "--level", "5"),
      "aa0e26b25d0c03e12400a078ccd66c9e562aa0e9b9637f39170ae8951b3f3bf6"),
     (("expand", "{collider3}", "--level", "2"),
-     "f1caab7af44e5f0cff51fa7044ae1c7075a72c9965b095e8ff25871daeb1f1ab"),
+     "f1caab7af44e5f0cff51fa7044ae1c7075a72c9965b095e8ff25871daeb1f1ab",
+     "expand collider3 --level 2"),
     # a 1-D integral set too sparse for a rank table: the scans search
     (("density", "{cantor}", "--level", "6"),
-     "29f3138871a8efcd0f22ec2d5b870ce7a1f3236748531d15a302160f83f001c0"),
+     "29f3138871a8efcd0f22ec2d5b870ce7a1f3236748531d15a302160f83f001c0",
+     "density cantor --level 6"),
 ]
 
 
@@ -131,7 +136,10 @@ def _argv(template, paths):
 
 
 @pytest.mark.parametrize(
-    "template,digest", CORPUS, ids=[" ".join(t[:1] + t[2:]) for t, _ in CORPUS]
+    "template,digest",
+    [entry[:2] for entry in CORPUS],
+    ids=[entry[2] if len(entry) > 2 else " ".join(entry[0][:1] + entry[0][2:])
+         for entry in CORPUS],
 )
 def test_golden_stdout(template, digest, pair_paths, capsysbinary):
     assert main(_argv(template, pair_paths)) == 0
