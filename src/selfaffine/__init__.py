@@ -74,6 +74,7 @@ from .expansion import (
     analyze_expansion,
     collision_witness,
     expand_level,
+    expand_levels,
 )
 from .pairs import (
     REGIME_FRACTAL,

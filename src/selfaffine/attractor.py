@@ -5,7 +5,8 @@ downward from an everything-occupied bounding box.  Rasterization is
 conservative (cell images are bounded by their axis box and dilated by one
 cell), so occupancy always covers the true attractor and the occupied
 volume decreases monotonically to a fixed point: an outer Lebesgue
-estimate.
+estimate.  Since cells only ever leave the cover, each pass re-tests just
+the cells still in it.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from .expansion import (
     CollisionWitness,
     analyze_expansion,
     collision_witness,
-    expand_level,
+    expand_levels,
 )
 from .pairs import REGIME_FRACTAL, REGIME_TILE, SelfAffinePair, _inf_norm
 from .pointset import _prefix_sums
@@ -128,6 +129,11 @@ def raster_attractor(
     (minus some digit) meets an occupied cell; images are overestimated by
     their bounding box plus a one-cell dilation, so every cell meeting the
     true attractor survives forever and the fixed point is an outer cover.
+
+    A dead cell stays dead, so a pass tests only the live cells: their flat
+    indices and each digit's box corners are kept compressed to them, and
+    the cells that fail are dropped from every array.  The iteration has
+    converged when a pass drops no cell.
     """
     if pair.dim not in (1, 2):
         raise UnsupportedDimension("raster supports dimensions 1 and 2 only")
@@ -167,23 +173,28 @@ def raster_attractor(
         box = ([], [])
         for corner in itertools.product((1, 0), repeat=dim):
             flat = sum(ends[a][corner[a]] for a in range(dim)).astype(index_type)
-            box[(sum(corner) - dim) % 2].append(flat)
+            box[(sum(corner) - dim) % 2].append(flat.reshape(-1))
         boxes.append(box)
     del images, ends, c
     occ = np.ones((resolution,) * dim, dtype=bool)
+    live = np.arange(occ.size, dtype=index_type)
     converged = False
     iterations = 0
     for iterations in range(1, max_iters + 1):
         s = _prefix_sums(occ).reshape(-1)
-        new = np.zeros_like(occ)
+        keep = np.zeros(len(live), dtype=bool)
         for plus, minus in boxes:
             # occupied cells in the index box, by inclusion-exclusion over its corners
-            new |= sum(s[i] for i in plus) > sum(s[i] for i in minus)
-        new &= occ
-        if np.array_equal(new, occ):
+            keep |= sum(s[i] for i in plus) > sum(s[i] for i in minus)
+        if keep.all():
             converged = True
             break
-        occ = new
+        occ.reshape(-1)[live[~keep]] = False
+        live = live[keep]
+        for corners in itertools.chain.from_iterable(boxes):
+            # one array at a time, so that no more than one extra copy is alive
+            for i, flat in enumerate(corners):
+                corners[i] = flat[keep]
 
     occ.flags.writeable = False
     grid = RasterGrid(dim=pair.dim, radius=radius, resolution=resolution, cells=occ)
@@ -267,6 +278,13 @@ def osc_verdict(pair: SelfAffinePair, k: int, cap: int = DEFAULT_CAP) -> OscRepo
     separation has stabilized (last three levels equal within tolerance)
     and the natural-scale density profile is bounded; undetermined when the
     evidence is mixed.
+
+    Levels 1..k come from one ``expand_levels`` stream, each built once
+    from the one before.  Separations are exact; on integer points with two
+    of them 1 apart the minimum is certified as 1 without a grid pass
+    (``_min_separation``).  In dimension 3 and up, where the density
+    profile is refused, the levels are first scanned for a collision alone,
+    so a collision-free pair fails before any separation is measured.
     """
     if pair.regime not in (REGIME_TILE, REGIME_FRACTAL):
         raise UnsupportedRegime(
@@ -275,11 +293,19 @@ def osc_verdict(pair: SelfAffinePair, k: int, cap: int = DEFAULT_CAP) -> OscRepo
     if k < 1:
         raise ValueError("level must be at least 1")
 
+    if pair.dim not in (1, 2):
+        # A collision-free pair goes on to the density profile, which refuses
+        # this dimension: reach it before any separation is measured.
+        for pts in expand_levels(pair, k, cap):
+            if pts.weights.max() >= 2:
+                break
+        else:
+            upper_density_profile(pts, natural_schedule(pts), level=k)
+
     separations = []
     first_collision = None
     witness = None
-    for level in range(1, k + 1):
-        pts = expand_level(pair, level, cap)
+    for level, pts in enumerate(expand_levels(pair, k, cap), start=1):
         report = analyze_expansion(pts, pair.m, level)
         separations.append((level, report.min_separation))
         if report.has_collision:

@@ -157,9 +157,11 @@ def _rank_table(values: np.ndarray):
         return None
     if not np.array_equal(np.floor(values), values):
         return None
-    table = np.zeros(int(span) + 1, dtype=np.int32)
-    np.cumsum(np.bincount((values - v0).astype(np.intp), minlength=int(span)), out=table[1:])
-    return table
+    # P[k] = i for offset(i - 1) < k <= offset(i), so count i repeats as often as
+    # the step between neighbouring offsets; the only span-sized array is the table
+    offsets = (values - v0).astype(np.intp)
+    steps = np.diff(offsets, prepend=-1, append=int(span))
+    return np.repeat(np.arange(len(values) + 1, dtype=np.int32), steps)
 
 
 def _search(values: np.ndarray, table, edges: np.ndarray, side: str) -> np.ndarray:

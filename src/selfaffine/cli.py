@@ -41,7 +41,7 @@ from .cantor import (
     translation_dominance_check,
 )
 from .errors import BudgetExceeded, ParseError, SelfAffineError, UnsupportedDimension
-from .expansion import DEFAULT_CAP, expand_level
+from .expansion import DEFAULT_CAP, _next_level, expand_level
 from .pairs import REGIME_TILE, SelfAffinePair, detect_similarity, validate_pair
 from .sdensity import (
     check_renormalization,
@@ -240,7 +240,10 @@ def _cmd_check(args) -> str:
 
 
 def _profiles(pair, args):
-    """Schedule plus upper/lower profiles of the expansion on it."""
+    """Schedule plus upper/lower profiles of the expansion on it.
+
+    Level k + 1 is one more step from level k; past the budget it is None.
+    """
     pts = expand_level(pair, args.level, args.cap)
     schedule = WindowSchedule(
         _resolve_sizes(args.windows, lambda count: natural_schedule(pts, count).sizes)
@@ -251,7 +254,7 @@ def _profiles(pair, args):
         raise UsageError(str(exc)) from None
     upper = upper_density_profile(pts, schedule, level=args.level)
     try:
-        nxt = expand_level(pair, args.level + 1, args.cap)
+        nxt = _next_level(pair, pts, args.level, args.cap)
     except BudgetExceeded:
         nxt = None
     lower = lower_density_profile(pts, schedule, nxt, level=args.level, cap=args.cap)

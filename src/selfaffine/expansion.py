@@ -46,35 +46,63 @@ def _check_budget(m: int, k: int, cap: int) -> None:
         raise BudgetExceeded(f"mass {m}**{k} exceeds cap {cap}")
 
 
-def expand_level(pair: SelfAffinePair, k: int, cap: int = DEFAULT_CAP) -> WeightedPointSet:
-    """Enumerate the level-k expansion measure of a pair.
+def expand_levels(pair: SelfAffinePair, k: int, cap: int = DEFAULT_CAP):
+    """Yield the level-j expansion measure of a pair for j = 1, ..., k.
 
-    Builds incrementally: the level-j set is the level-(j-1) set translated
-    by B^(j-1) d for every digit d, merging coincident sums so weights count
-    representations.  Total mass is exactly m**k.
+    Level 1 is the digit set; each later level is ``_next_level`` of the
+    one before.  The budget is checked as each level is reached:
+    BudgetExceeded names the first level whose mass exceeds ``cap``, after
+    every level below it was yielded.
     """
     if k < 1:
         raise ValueError("level must be at least 1")
-    m = pair.m
-    _check_budget(m, k, cap)
-    digits = pair.digits.vectors
-    b = pair.matrix.entries
+    _check_budget(pair.m, 1, cap)
     # digit sets are stored sorted and distinct, so level 1 is already canonical
-    pts = digits.copy()
-    w = np.ones(len(digits), dtype=np.int64)
-    power = np.eye(pair.dim)
+    pts = WeightedPointSet._from_canonical(
+        pair.digits.vectors.copy(), np.ones(pair.m, dtype=np.int64)
+    )
+    yield pts
+    for level in range(1, k):
+        pts = _next_level(pair, pts, level, cap)
+        yield pts
+
+
+def _next_level(pair: SelfAffinePair, pts: WeightedPointSet, k: int, cap: int) -> WeightedPointSet:
+    """The level-(k+1) expansion measure from the level-k one.
+
+    It is the level-k set translated by B^k d for every digit d, merging
+    coincident sums so weights count representations; total mass is
+    exactly m**(k+1).  B^k is the product of k left multiplications by B,
+    the same sequence at every level.
+    """
+    m = pair.m
+    _check_budget(m, k + 1, cap)
+    b = pair.matrix.entries
     try:
         with np.errstate(over="raise", invalid="raise"):
-            for _ in range(1, k):
+            power = np.eye(pair.dim)
+            for _ in range(k):
                 power = b @ power
-                shifts = digits @ power.T
-                new_pts = (pts[:, None, :] + shifts[None, :, :]).reshape(-1, pair.dim)
-                new_w = np.repeat(w, m)
-                pts, w = _canonicalize(new_pts, new_w)
+            shifts = pair.digits.vectors @ power.T
+            new_pts = (pts.points[:, None, :] + shifts[None, :, :]).reshape(-1, pair.dim)
+            points, weights = _canonicalize(new_pts, np.repeat(pts.weights, m))
     except FloatingPointError:
         # a sum past the float range lies far past the merge scale
         raise ValueError(_MERGE_SCALE_ERROR) from None
-    return WeightedPointSet._from_canonical(pts, w)
+    return WeightedPointSet._from_canonical(points, weights)
+
+
+def expand_level(pair: SelfAffinePair, k: int, cap: int = DEFAULT_CAP) -> WeightedPointSet:
+    """Enumerate the level-k expansion measure of a pair: the last level of ``expand_levels``.
+
+    The budget of level k is checked before any level is built.
+    """
+    if k < 1:
+        raise ValueError("level must be at least 1")
+    _check_budget(pair.m, k, cap)
+    for pts in expand_levels(pair, k, cap):
+        pass
+    return pts
 
 
 def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -133,13 +161,15 @@ def _min_separation(pts: WeightedPointSet) -> float:
     """Smallest Euclidean distance between two distinct points, exactly.
 
     Neighbours in each per-axis sort order give an upper bound delta on the
-    minimum (in one dimension, the minimum itself).  Any closer pair lies in
-    the same or in adjacent cells of a grid of side delta, so each cell is
-    compared with itself and with half of its 3**dim - 1 neighbours.  A cell
-    side is never below 2**-32 of its axis's span: cell indices then stay
-    small enough that rounding cannot split a pair closer than delta across
-    non-adjacent cells.  Sets spanning more than 2**32 times delta pay for
-    that with crowded cells.
+    minimum (in one dimension, the minimum itself).  When every coordinate
+    is an integer and delta is 1, delta is the minimum too, since distinct
+    integer points are at least 1 apart; no grid pass is needed.  Otherwise
+    any closer pair lies in the same or in adjacent cells of a grid of side
+    delta, so each cell is compared with itself and with half of its
+    3**dim - 1 neighbours.  A cell side is never below 2**-32 of its axis's
+    span: cell indices then stay small enough that rounding cannot split a
+    pair closer than delta across non-adjacent cells.  Sets spanning more
+    than 2**32 times delta pay for that with crowded cells.
     """
     p = pts.points
     n, dim = p.shape
@@ -152,6 +182,9 @@ def _min_separation(pts: WeightedPointSet) -> float:
         best = min(best, float(_sq_dist(q[1:], q[:-1]).min()))
     if dim == 1:
         return float(np.sqrt(best))
+    if best == 1.0 and np.array_equal(np.floor(p), p):
+        # distinct integer points are at least 1 apart: the bound is the minimum
+        return 1.0
 
     lo = p.min(axis=0)
     # the 2**-16 margin over delta absorbs rounding in the cell indices

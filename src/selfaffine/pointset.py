@@ -145,10 +145,11 @@ class WeightedPointSet:
 def _prefix_sums(counts: np.ndarray) -> np.ndarray:
     """Cumulative sums along every axis, with a leading zero on each."""
     s = np.zeros(tuple(n + 1 for n in counts.shape), dtype=np.int64)
-    inner = counts
+    # cast once into the table, then sum in place: no int64 copy of the counts
+    inner = s[(slice(1, None),) * counts.ndim]
+    inner[...] = counts
     for axis in range(counts.ndim):
-        inner = inner.cumsum(axis=axis)
-    s[(slice(1, None),) * counts.ndim] = inner
+        np.cumsum(inner, axis=axis, out=inner)
     return s
 
 

@@ -3,6 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import raster_attractor_full_grid
+from strategies import small_pairs
 
 from selfaffine import (
     LABEL_BOUNDARY,
@@ -119,6 +123,16 @@ class TestRasterAttractor:
         # 17.0 MiB before the corner indices were hoisted out of the iteration
         assert peak <= 17.0 * 2**20
 
+    @settings(max_examples=150, deadline=None)
+    @given(small_pairs(), st.integers(16, 40), st.sampled_from([1, 2, 3, 256]))
+    def test_live_cells_equal_the_full_grid_iteration(self, pair, resolution, max_iters):
+        grid, estimate = raster_attractor(pair, resolution, max_iters)
+        expected_grid, expected = raster_attractor_full_grid(pair, resolution, max_iters)
+        assert grid.radius == expected_grid.radius
+        assert grid.cells.dtype == expected_grid.cells.dtype
+        assert np.array_equal(grid.cells, expected_grid.cells)
+        assert estimate == expected
+
     def test_iteration_cap_reports_no_convergence(self, doubling_pair):
         _, capped = raster_attractor(doubling_pair, 256, max_iters=1)
         _, full = raster_attractor(doubling_pair, 256)
@@ -227,6 +241,17 @@ class TestClassifyOrigin:
 
 
 class TestOscVerdict:
+    def test_memory_is_bounded(self, twin_dragon_pair):
+        osc_verdict(twin_dragon_pair, 3)  # first-call allocations stay out of the peak
+        tracemalloc.start()
+        try:
+            osc_verdict(twin_dragon_pair, 15)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 8.0 MiB when every level was expanded afresh and lattice points took the grid pass
+        assert peak <= 8.0 * 2**20
+
     def test_collision_fails_with_witness(self, collision_pair):
         report = osc_verdict(collision_pair, 4)
         assert report.verdict == VERDICT_FAILS

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import rank_table_by_counting
 
 from selfaffine import (
     BudgetExceeded,
@@ -581,6 +582,16 @@ def test_rank_table_search_equals_binary_search(case):
     for side in ("left", "right"):
         got = beurling._search(values, table, edges, side)
         assert np.array_equal(got, np.searchsorted(values, edges, side=side))
+
+
+@settings(max_examples=300, deadline=None)
+@given(search_cases())
+def test_rank_table_equals_counting_formula(case):
+    values, _ = case
+    table, expected = beurling._rank_table(values), rank_table_by_counting(values)
+    assert (table is None) == (expected is None)
+    if table is not None:
+        assert table.dtype == expected.dtype and np.array_equal(table, expected)
 
 
 def test_rank_table_selection(doubling_pair, cantor_pair_32):

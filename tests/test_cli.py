@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from selfaffine import parse_pair_spec, render_pair_spec
+from selfaffine import expansion, parse_pair_spec, render_pair_spec
 from selfaffine.cli import main
 
 DOUBLING = "dim 1\nmatrix\n2\ndigits\n0\n1\n"
@@ -14,6 +14,10 @@ NEGATIVE = "dim 1\nmatrix\n-2\ndigits\n0\n1\n"
 COLLIDER = "dim 1\nmatrix\n4\ndigits\n0\n1\n2\n8\n"
 CANTOR = "dim 1\nmatrix\n3\ndigits\n0\n2\n"
 DRAGON = "dim 2\nmatrix\n1 -1\n1 1\ndigits\n0 0\n1 0\n"
+#: B = 2I in three dimensions with the eight corners of the unit cube: no collisions
+CUBE = "dim 3\nmatrix\n2 0 0\n0 2 0\n0 0 2\ndigits\n" + "".join(
+    f"{x} {y} {z}\n" for x in (0, 1) for y in (0, 1) for z in (0, 1)
+)
 
 
 def run(*argv):
@@ -95,6 +99,17 @@ def test_check_separated_pair_is_consistent(pair_file):
     assert lines[4] == "consistent-with-OSC"
     assert lines[5] == "level,min_separation"
     assert lines[6:] == [f"{k},2" for k in range(1, 7)]
+
+
+def test_check_refuses_a_collision_free_3d_pair_before_measuring(pair_file, monkeypatch, capsys):
+    def measured(pts):
+        raise AssertionError("a separation was measured")
+
+    monkeypatch.setattr(expansion, "_min_separation", measured)
+    assert main(["check", "--pair", pair_file(CUBE), "--level", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: upper_density_profile supports dimensions 1 and 2 only\n"
 
 
 def test_density_table(pair_file):

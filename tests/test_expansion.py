@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import expand_level_afresh
+from strategies import small_pairs
 
 from selfaffine import (
     BudgetExceeded,
@@ -16,6 +18,7 @@ from selfaffine import (
     analyze_expansion,
     collision_witness,
     expand_level,
+    expand_levels,
     validate_pair,
 )
 from selfaffine.expansion import _min_separation
@@ -94,6 +97,30 @@ def test_pointwise_weight_monotonicity(collision_pair):
 def test_budget_enforced(doubling_pair):
     with pytest.raises(BudgetExceeded):
         expand_level(doubling_pair, 30, cap=2**20)
+
+
+def _bits(pts):
+    return pts.points.dtype, pts.points.shape, pts.points.tobytes(), pts.weights.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_pairs(), st.integers(1, 6))
+def test_each_streamed_level_is_the_level_built_alone(pair, k):
+    levels = list(expand_levels(pair, k))
+    assert len(levels) == k
+    for j, pts in enumerate(levels, start=1):
+        expected = _bits(expand_level_afresh(pair, j))
+        assert _bits(pts) == _bits(expand_level(pair, j)) == expected
+
+
+def test_stream_checks_the_budget_level_by_level(doubling_pair):
+    levels = expand_levels(doubling_pair, 6, cap=8)
+    assert [len(pts) for pts in itertools.islice(levels, 3)] == [2, 4, 8]
+    with pytest.raises(BudgetExceeded, match=r"mass 2\*\*4 exceeds cap 8"):
+        next(levels)
+    # a single level is refused before any is built
+    with pytest.raises(BudgetExceeded, match=r"mass 2\*\*6 exceeds cap 8"):
+        expand_level(doubling_pair, 6, cap=8)
 
 
 @pytest.mark.parametrize(
@@ -193,24 +220,42 @@ def brute_min_separation(points):
     return float(np.sqrt(sum(diff[:, k] * diff[:, k] for k in range(points.shape[1])).min()))
 
 
+@st.composite
+def separation_rows(draw):
+    """2-60 points in 1-3 dimensions: integer and float coordinates mixed, or
+    integers spaced 1 or 2 apart, which the integer certificate settles when
+    two of them are 1 apart and the grid pass otherwise."""
+    dim = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        step = draw(st.sampled_from([1.0, 2.0]))
+        coordinate = st.integers(-3, 3).map(lambda v: step * v)
+    else:
+        coordinate = st.one_of(st.integers(-6, 6).map(float), st.floats(-50, 50))
+    row = st.lists(coordinate, min_size=dim, max_size=dim)
+    return draw(st.lists(row, min_size=2, max_size=60))
+
+
 @settings(max_examples=150, deadline=None)
-@given(
-    st.integers(1, 3).flatmap(
-        lambda dim: st.lists(
-            st.lists(
-                st.one_of(st.integers(-6, 6).map(float), st.floats(-50, 50)),
-                min_size=dim,
-                max_size=dim,
-            ),
-            min_size=2,
-            max_size=60,
-        )
-    )
-)
+@given(separation_rows())
 def test_min_separation_matches_brute_force(rows):
     pts = WeightedPointSet(np.array(rows))
     expected = brute_min_separation(pts.points) if len(pts) > 1 else float("inf")
     assert _min_separation(pts) == expected
+
+
+@pytest.mark.parametrize(
+    "rows,expected",
+    [
+        # 0.85 apart, but side by side in neither axis order; a pair 1 apart sets the bound
+        ([[0, 0], [0.6, 0.6], [0.3, 10], [10, 0.3], [20, 20], [21, 20]], 0.72**0.5),
+        # the same on integers, with a bound of 2 above the minimum sqrt(2)
+        ([[0, 0], [1, 1], [0, 10], [10, 0], [20, 20], [22, 20]], 2**0.5),
+    ],
+    ids=["non-integer", "integer-bound-2"],
+)
+def test_min_separation_certificate_needs_integers_and_a_unit_bound(rows, expected):
+    pts = WeightedPointSet(np.array(rows, dtype=float))
+    assert _min_separation(pts) == brute_min_separation(pts.points) == pytest.approx(expected)
 
 
 def test_min_separation_collinear_vertical():

@@ -18,6 +18,8 @@ PAIRS = {
     "dragon": "dim 2\nmatrix\n1 -1\n1 1\ndigits\n0 0\n1 0\n",
     "spiral": "dim 2\nmatrix\n1.9 -0.7\n0.7 1.9\ndigits\n0 0\n1 0\n0.37 0.71\n",
     "collider3": "dim 3\nmatrix\n3 0 0\n0 3 0\n0 0 3\ndigits\n0 0 0\n1 0 0\n3 0 0\n",
+    "evengrid": "dim 2\nmatrix\n2 0\n0 2\ndigits\n0 0\n2 0\n0 2\n2 2\n",
+    "diagonal": "dim 2\nmatrix\n1 -1\n1 1\ndigits\n0 0\n1 1\n",
 }
 
 # (argv with {pair} placeholders, sha256 of stdout[, test id])
@@ -111,6 +113,17 @@ CORPUS = [
     (("density", "{cantor}", "--level", "6"),
      "29f3138871a8efcd0f22ec2d5b870ce7a1f3236748531d15a302160f83f001c0",
      "density cantor --level 6"),
+    # lattice points 2 apart, and points sqrt(2) apart: integer sets whose
+    # minimum separation the grid pass finds
+    (("check", "{evengrid}", "--level", "8"),
+     "9c79581e8cce29ebac301f6752994aae82e3ec6de7d36c7281b64dfb07f1929c",
+     "check evengrid --level 8"),
+    (("check", "{diagonal}", "--level", "8"),
+     "27bdf75d3728b9bdedd6c0b25f95d1685cf97fcbd3101c116302d8d6265d9e65",
+     "check diagonal --level 8"),
+    # a raster stopped before its fixed point
+    (("raster", "{dragon}", "--resolution", "64", "--max-iters", "3"),
+     "b49ee50015f36761a7753dcaaeab0a2224f1c63e965378d9f456e8000a3c2684"),
 ]
 
 

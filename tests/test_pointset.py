@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from oracles import _prefix_sums as prefix_sums_by_copies
 
 from selfaffine import EmptyPointSet, MERGE_TOL, WeightedPointSet
-from selfaffine.pointset import prefix_weights, weight_in_interval
+from selfaffine.pointset import _prefix_sums, prefix_weights, weight_in_interval
 
 
 def test_sorted_lexicographically():
@@ -96,6 +98,21 @@ def test_coords_requires_dim_one():
 def test_prefix_weights():
     ps = WeightedPointSet([0.0, 1.0, 2.0], [2, 3, 4])
     assert prefix_weights(ps).tolist() == [0, 2, 5, 9]
+
+
+@given(
+    hnp.arrays(
+        np.int64,
+        hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=12),
+        elements=st.integers(0, 2**40),
+    )
+)
+def test_prefix_sums_in_place_equal_cumsum_copies(weights):
+    # weights, as for 1-D scans, and an occupancy mask, as for the raster
+    for counts in (weights, weights % 2 == 1):
+        got, expected = _prefix_sums(counts), prefix_sums_by_copies(counts)
+        assert got.dtype == expected.dtype == np.int64
+        assert np.array_equal(got, expected)
 
 
 def test_weight_in_interval_closed_endpoints():
