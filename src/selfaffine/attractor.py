@@ -160,6 +160,12 @@ def raster_attractor(
     # corners into the raveled prefix table: (+) corners and (-) corners of
     # the inclusion-exclusion.  They depend only on the pair and the grid.
     index_type = np.int32 if (resolution + 1) ** dim < 2**31 else np.int64
+
+    def cell(edge):
+        # narrowed before the stride multiply: the corners' flat sums stay
+        # below (resolution + 1)**dim, so they are exact in index_type
+        return np.clip(edge.astype(np.int64), 0, resolution).astype(index_type)
+
     boxes = []
     for d in digits:
         ends = []
@@ -167,12 +173,12 @@ def raster_attractor(
             c = images[a] - d[a]
             stride = (resolution + 1) ** (dim - 1 - a)
             ends.append((
-                np.clip(np.floor((c - ext[a] - lo) / h).astype(np.int64), 0, resolution) * stride,
-                np.clip(np.ceil((c + ext[a] - lo) / h).astype(np.int64), 0, resolution) * stride,
+                cell(np.floor((c - ext[a] - lo) / h)) * stride,
+                cell(np.ceil((c + ext[a] - lo) / h)) * stride,
             ))
         box = ([], [])
         for corner in itertools.product((1, 0), repeat=dim):
-            flat = sum(ends[a][corner[a]] for a in range(dim)).astype(index_type)
+            flat = sum(ends[a][corner[a]] for a in range(dim))
             box[(sum(corner) - dim) % 2].append(flat.reshape(-1))
         boxes.append(box)
     del images, ends, c

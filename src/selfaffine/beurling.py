@@ -144,16 +144,21 @@ def _require_dim(pts: WeightedPointSet, op: str) -> int:
     return pts.dim
 
 
-def _rank_table(values: np.ndarray):
+def _rank_table(values: np.ndarray, limit: int | None = None):
     """``P[k] = #{v < values[0] + k}`` over sorted values, or None when they do not qualify.
 
     The values qualify when each is an integer below 2**52 in magnitude and
-    their span ``values[-1] - values[0] + 1`` is at most ``_TABLE_SPAN``
-    times their count; the table then has span + 1 int32 entries.
+    their span ``values[-1] - values[0] + 1`` is at most ``limit``; the
+    table then has span + 1 int32 entries.  The limit is the span a caller
+    can afford to build, by default ``_TABLE_SPAN`` times the count, which
+    the window scans' one lookup per point and window edge repays; a caller
+    that makes more lookups may afford more.
     """
+    if limit is None:
+        limit = _TABLE_SPAN * len(values)
     v0, v1 = float(values[0]), float(values[-1])
     span = v1 - v0 + 1
-    if not (-(2.0**52) < v0 and v1 < 2.0**52 and span <= _TABLE_SPAN * len(values)):
+    if not (-(2.0**52) < v0 and v1 < 2.0**52 and span <= limit):
         return None
     if not np.array_equal(np.floor(values), values):
         return None

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .beurling import _SCAN_CELLS, _rank_table, _search
 from .errors import InvalidCoefficient
 from .expansion import DEFAULT_CAP, expand_level
 from .pairs import SelfAffinePair, validate_pair
@@ -82,20 +83,40 @@ def translation_dominance_check(cp: CantorPair, k: int, cap: int = DEFAULT_CAP):
     Checks mu([a, b]) <= mu([0, b - a]) for every point-bounded interval;
     every interval's count equals that of its minimal point-bounded shrink,
     so this family is exhaustive.  Returns (True, None) or (False, (a, b))
-    with the first counterexample in scan order.
+    with the first counterexample in scan order (``_dominance_scan``).
     """
     pts = expand_level(cp.pair(), k, cap)
-    xs = pts.coords()
-    pref = prefix_weights(pts)
-    for i in range(len(xs)):
-        lengths = xs[i:] - xs[i]
-        lhs = pref[i + 1 :] - pref[i]
-        hi = np.searchsorted(xs, lengths + _COUNT_TOL, side="right")
-        rhs = pref[hi]
-        bad = np.nonzero(lhs > rhs)[0]
-        if len(bad):
-            j = int(bad[0])
-            return False, (float(xs[i]), float(xs[i + j]))
+    return _dominance_scan(pts.coords(), prefix_weights(pts))
+
+
+def _dominance_scan(xs: np.ndarray, pref: np.ndarray):
+    """First interval [xs[i], xs[j]] whose count exceeds that of [0, xs[j] - xs[i]].
+
+    Scan order is by anchor i, then by right end j >= i.  The anchors go in
+    blocks of at most ``_SCAN_CELLS`` cells, each a rectangle of anchors
+    [a, b) by right ends [a, n).  A cell left of its anchor (j < i) counts
+    pref[j + 1] - pref[i] <= 0 points, against a translate count of at least
+    0, so it never flags and needs no mask.  The translate counts come from
+    ``_search`` over the same lengths + ``_COUNT_TOL`` as a per-anchor binary
+    search would use; integer coordinates read them off a rank table, which
+    may span up to the n(n + 1)/2 lookups the scan makes, and every other
+    set searches.  Both give the binary search's counts exactly, so the
+    verdict and the witness are those of scanning anchor by anchor.
+    """
+    n = len(xs)
+    table = _rank_table(xs, n * (n + 1) // 2)
+    a = 0
+    while a < n:
+        b = min(n, a + max(1, _SCAN_CELLS // (n - a)))
+        edges = xs[a:] - xs[a:b, None]
+        edges += _COUNT_TOL
+        lhs = pref[a + 1 :] - pref[a:b, None]
+        rhs = pref[_search(xs, table, edges, "right")]
+        bad = lhs > rhs
+        if bad.any():
+            i, j = divmod(int(bad.argmax()), n - a)
+            return False, (float(xs[a + i]), float(xs[a + j]))
+        a = b
     return True, None
 
 

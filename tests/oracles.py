@@ -9,8 +9,18 @@
   (``expansion.expand_level`` is the last item of ``expand_levels``).
 * ``rank_table_by_counting``: the rank table through an int64 count and
   cumulative sum (``beurling._rank_table`` repeats each count).
+* ``chaos_game_1d_block_by_block``: the 1-D chaos game, one matrix-vector
+  product per block (``sdensity._chaos_game_1d`` stacks them).
+* ``check_renormalization_every_point``: the renormalization check that
+  tests every sample against every expansion point
+  (``sdensity.check_renormalization`` skips the points whose shifted sample
+  bounds settle the test).
+* ``dominance_anchor_by_anchor``: the translation-dominance loop, one binary
+  search per anchor (``cantor._dominance_scan`` scans blocks of anchors).
 
-Only the names, and the wrapping of one signature, differ from the originals.
+Only the names, and the wrapping of two signatures, differ from the
+originals: ``dominance_anchor_by_anchor`` takes the coordinates and prefix
+weights that ``translation_dominance_check`` computed from its pair.
 """
 from __future__ import annotations
 
@@ -26,10 +36,12 @@ from selfaffine.attractor import (
     invariant_radius,
 )
 from selfaffine.beurling import _TABLE_SPAN
-from selfaffine.errors import ResolutionTooSmall, UnsupportedDimension
-from selfaffine.expansion import DEFAULT_CAP, _check_budget
+from selfaffine.cantor import _COUNT_TOL
+from selfaffine.errors import DimensionMismatch, ResolutionTooSmall, UnsupportedDimension
+from selfaffine.expansion import DEFAULT_CAP, _check_budget, expand_level
 from selfaffine.pairs import SelfAffinePair
 from selfaffine.pointset import _MERGE_SCALE_ERROR, WeightedPointSet, _canonicalize
+from selfaffine.sdensity import _BLOCK, MeasureSample, RenormCheck, _in_box
 
 
 def raster_attractor_full_grid(
@@ -170,3 +182,88 @@ def rank_table_by_counting(values: np.ndarray):
     table = np.zeros(int(span) + 1, dtype=np.int32)
     np.cumsum(np.bincount((values - v0).astype(np.intp), minlength=int(span)), out=table[1:])
     return table
+
+
+def chaos_game_1d_block_by_block(binv: float, digits: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """All iterates of x -> binv * (x + d) from x0 = 0, evaluated blockwise.
+
+    After t steps x_t = binv^t x_0 + sum_u binv^(t-u) d_u, so within a block
+    of length L the iterates are one lower-triangular matrix-vector product
+    plus a carry term from the incoming state.
+    """
+    steps = len(idx)
+    t = np.arange(1, _BLOCK + 1)
+    u = np.arange(_BLOCK)
+    expo = t[:, None] - u[None, :]
+    tri = np.where(expo >= 1, binv ** np.clip(expo, 1, None), 0.0)
+    pows = binv**t
+    out = np.empty(steps)
+    x = 0.0
+    d = digits[idx]
+    for start in range(0, steps, _BLOCK):
+        blk = d[start : start + _BLOCK]
+        L = len(blk)
+        vals = tri[:L, :L] @ blk + pows[:L] * x
+        out[start : start + L] = vals
+        x = vals[-1]
+    return out
+
+
+def check_renormalization_every_point(
+    pair: SelfAffinePair,
+    window,
+    n_steps: int,
+    sample: MeasureSample,
+    cap: int = DEFAULT_CAP,
+) -> RenormCheck:
+    """Monte Carlo check of the exact renormalization identity.
+
+    The invariant measure sigma satisfies
+    sigma(B^-N W) = m^-N * sum over level-N expansion points p of
+    sigma(W - p), counted with multiplicity.  Both sides are estimated on
+    the same sample; ``stderr`` is the paired standard error of their
+    difference.  ``window`` is an axis box given as (lo, hi) vectors (plain
+    floats in dimension 1).
+    """
+    if n_steps < 1:
+        raise ValueError("n_steps must be at least 1")
+    if sample.dim != pair.dim:
+        raise DimensionMismatch("sample dimension differs from pair dimension")
+    _check_budget(pair.m, n_steps, cap)
+    lo, hi = window
+    lo = np.atleast_1d(np.asarray(lo, dtype=float))
+    hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    if np.any(hi <= lo):
+        raise ValueError("window must have positive extent on every axis")
+
+    mu = expand_level(pair, n_steps, cap)
+    x = sample.points
+    bn = np.linalg.matrix_power(pair.matrix.entries, n_steps)
+    lhs_ind = _in_box(x @ bn.T, lo, hi).astype(float)
+    f = np.zeros(len(x))
+    for p, w in zip(mu.points, mu.weights):
+        f += w * _in_box(x + p, lo, hi)
+    f /= float(pair.m**n_steps)
+    diff = lhs_ind - f
+    stderr = float(np.std(diff, ddof=1) / np.sqrt(len(x)))
+    return RenormCheck(lhs=float(lhs_ind.mean()), rhs=float(f.mean()), stderr=stderr)
+
+
+def dominance_anchor_by_anchor(xs: np.ndarray, pref: np.ndarray):
+    """Verify no interval holds more level-k points than its translate at zero.
+
+    Checks mu([a, b]) <= mu([0, b - a]) for every point-bounded interval;
+    every interval's count equals that of its minimal point-bounded shrink,
+    so this family is exhaustive.  Returns (True, None) or (False, (a, b))
+    with the first counterexample in scan order.
+    """
+    for i in range(len(xs)):
+        lengths = xs[i:] - xs[i]
+        lhs = pref[i + 1 :] - pref[i]
+        hi = np.searchsorted(xs, lengths + _COUNT_TOL, side="right")
+        rhs = pref[hi]
+        bad = np.nonzero(lhs > rhs)[0]
+        if len(bad):
+            j = int(bad[0])
+            return False, (float(xs[i]), float(xs[i + j]))
+    return True, None

@@ -594,6 +594,16 @@ def test_rank_table_equals_counting_formula(case):
         assert table.dtype == expected.dtype and np.array_equal(table, expected)
 
 
+def test_rank_table_limit():
+    values = np.array([-3.0, 7.0, 8.0, 17.0])
+    # span 21, above the default limit of 4 * 4
+    assert beurling._rank_table(values) is None
+    assert beurling._rank_table(values, 20) is None
+    table = beurling._rank_table(values, 21)
+    assert table.dtype == np.int32
+    assert np.array_equal(table, np.searchsorted(values, values[0] + np.arange(22)))
+
+
 def test_rank_table_selection(doubling_pair, cantor_pair_32):
     line = expand_level(doubling_pair, 16).points[:, 0]
     assert beurling._rank_table(line) is not None

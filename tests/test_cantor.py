@@ -1,9 +1,13 @@
 """Closed-form Cantor-family counting checked against brute enumeration."""
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import dominance_anchor_by_anchor
 
 from selfaffine import (
     REGIME_FRACTAL,
@@ -18,6 +22,7 @@ from selfaffine import (
     translation_dominance_check,
     upper_s_density_profile,
 )
+from selfaffine import cantor
 
 
 def brute_points(N, d, m):
@@ -106,6 +111,18 @@ class TestIntervalCount:
             assert interval_count(cp, 5, a, b) == want
 
 
+@st.composite
+def dominance_sets(draw):
+    """Sorted distinct integer or float coordinates, weights 1-3, as (xs, pref)."""
+    if draw(st.booleans()):
+        coordinate = st.integers(-30, 60).map(float)
+    else:
+        coordinate = st.floats(-30.0, 60.0)
+    xs = np.array(sorted(draw(st.lists(coordinate, min_size=1, max_size=40, unique=True))))
+    weights = draw(st.lists(st.integers(1, 3), min_size=len(xs), max_size=len(xs)))
+    return xs, np.concatenate([[0], np.cumsum(weights)])
+
+
 class TestTranslationDominance:
     def test_holds_on_integer_grid(self):
         for N in (3, 4):
@@ -120,6 +137,49 @@ class TestTranslationDominance:
         for k in range(1, 9):
             holds, witness = translation_dominance_check(cp, k)
             assert holds and witness is None
+
+    def test_counterexample_is_the_first_in_scan_order(self):
+        xs = np.array([0.0, 4.0, 5.0, 9.0, 10.0])
+        pref = np.arange(6)
+        # [4, 5] holds 2 points and [0, 1] only 1; [9, 10] comes later
+        assert cantor._dominance_scan(xs, pref) == (False, (4.0, 5.0))
+        assert dominance_anchor_by_anchor(xs, pref) == (False, (4.0, 5.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(dominance_sets(), st.integers(1, 64))
+    def test_blocked_scan_equals_anchor_loop(self, case, cells):
+        xs, pref = case
+        with pytest.MonkeyPatch.context() as mp:
+            # a few cells per block, so one scan spans many blocks
+            mp.setattr(cantor, "_SCAN_CELLS", cells)
+            got = cantor._dominance_scan(xs, pref)
+        assert got == dominance_anchor_by_anchor(xs, pref)
+
+    def test_integer_sets_read_a_rank_table_within_the_lookup_count(self, monkeypatch):
+        tables = []
+        search = cantor._search
+
+        def recording(values, table, edges, side):
+            tables.append(table is not None)
+            return search(values, table, edges, side)
+
+        monkeypatch.setattr(cantor, "_search", recording)
+        # span 3**8 within 256 * 257 / 2 lookups; a non-integer set; span 4**8 beyond them
+        for (N, d), table in [((3, 2), True), ((3.5, 1), False), ((4, 3), False)]:
+            tables.clear()
+            assert translation_dominance_check(CantorPair(N, d), 8) == (True, None)
+            assert tables and set(tables) == {table}
+
+    def test_memory_is_bounded(self):
+        translation_dominance_check(CantorPair(3, 2), 6)  # first-call allocations stay out
+        tracemalloc.start()
+        try:
+            translation_dominance_check(CantorPair(3, 2), 11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # blocks of _SCAN_CELLS cells and a rank table of 3**11 entries
+        assert peak <= 4 * 2**20
 
 
 class TestSdensitySequence:

@@ -124,6 +124,22 @@ CORPUS = [
     # a raster stopped before its fixed point
     (("raster", "{dragon}", "--resolution", "64", "--max-iters", "3"),
      "b49ee50015f36761a7753dcaaeab0a2224f1c63e965378d9f456e8000a3c2684"),
+    # the chaos game with a tail block, a negative ratio, and 2-D
+    (("renorm-check", "{cantor}", "--window", "0,0.5", "--steps", "4",
+      "--samples", "100000", "--seed", "3"),
+     "c78b1d7a67589894a5380ab7cd514eca1c622eb70bfe7cedfecaef85198440a6"),
+    (("renorm-check", "{negabinary}", "--window=-0.5,0.5", "--steps", "3",
+      "--samples", "20000", "--seed", "5"),
+     "cc01f497890f6a39b4900d893a182783a96f7eab0ba605925fddbe4bd0666fbf"),
+    (("renorm-check", "{dragon}", "--window=-0.3,0.4,-0.2,0.5", "--steps", "3",
+      "--samples", "20000", "--seed", "5"),
+     "e4403335443a7e860bcd6271b86280d47c7d13d70121682bf0b02c6ca7a833be"),
+    # dominance on a set too sparse for a rank table even at n(n + 1)/2
+    # lookups, and on a non-integral set
+    (("cantor", "--N", "4", "--d", "3", "--op", "dominance", "--level", "8"),
+     "5e2bf88a73bb85d991d2c384027e3289f94baf0d95892e1b2ed9f60e18e6a8ee"),
+    (("cantor", "--N", "3.5", "--d", "1", "--op", "dominance", "--level", "7"),
+     "fa8495d336344796c04b635e89b55212f4e2b9fe8f1d956815981ad07fb3aa78"),
 ]
 
 

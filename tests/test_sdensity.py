@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import chaos_game_1d_block_by_block, check_renormalization_every_point
+from strategies import small_pairs
 
 from selfaffine import (
     DimensionMismatch,
@@ -25,6 +27,7 @@ from selfaffine import (
     validate_pair,
 )
 from selfaffine.pointset import prefix_weights
+from selfaffine.sdensity import MeasureSample
 
 S_CANTOR = math.log(2) / math.log(3)
 
@@ -453,3 +456,115 @@ def test_threshold_admitting_zero_length_interval_rejected():
         with pytest.raises(ValueError, match="threshold 1e-300 admits an interval of length 0"):
             upper_s_density_profile(pts, 0.5, [1e-300, 0.5])
     assert upper_s_density_profile(pts, 0.5, [1e-12]).entries[0].argmax == (0.0, 1e-6)
+
+
+# |B| = 1.05 keeps binv**128 near 0.002, so the carry between blocks counts
+@pytest.mark.parametrize(
+    "b,digits", [(3, [0, 2]), (-2, [0, 1]), (2, [0, 1]), (4, [0, 1, 2, 8]), (-1.05, [0, 1])]
+)
+@pytest.mark.parametrize(
+    "steps",
+    # one step, one block and its neighbours, one square of 128 blocks, and a
+    # run of several squares with a tail block
+    [1, 127, 128, 129, 128 * 128, 128 * 300, 128 * 300 + 77],
+)
+def test_chaos_game_equals_block_by_block_loop(b, digits, steps):
+    pair = validate_pair([[float(b)]], [[float(d)] for d in digits])
+    binv = float(pair.matrix.inverse[0, 0])
+    vectors = pair.digits.vectors[:, 0]
+    idx = np.random.default_rng(steps).integers(0, pair.m, size=steps)
+    got = sdensity._chaos_game_1d(binv, vectors, idx)
+    # bit for bit, signed zeros included
+    assert got.tobytes() == chaos_game_1d_block_by_block(binv, vectors, idx).tobytes()
+
+
+def test_renorm_equals_every_point_check_on_edge_windows(cantor_pair_32):
+    sample = sample_self_similar_measure(cantor_pair_32, 2000, seed=31)
+    x = sample.points[:, 0]
+    p = expand_level(cantor_pair_32, 3).points[:, 0]
+    lo, hi = x.min() + p, x.max() + p
+    windows = [
+        (50.0, 51.0),  # misses every shifted sample
+        (-1.0, 30.0),  # holds every shifted sample
+        (0.0, 0.5),
+        (lo[1], hi[1]),  # edges on one point's shifted extremes
+        (lo[1], hi[3]),
+        (hi[1], lo[2]),
+        (np.nextafter(hi[1], np.inf), np.nextafter(lo[2], -np.inf)),
+        (np.nextafter(lo[1], np.inf), np.nextafter(hi[1], -np.inf)),
+        (lo[1], np.nextafter(hi[1], -np.inf)),  # one sample past an edge
+        (np.nextafter(lo[1], np.inf), hi[1]),
+    ]
+    for window in windows:
+        for steps in (1, 3):
+            got = check_renormalization(cantor_pair_32, window, steps, sample)
+            assert got == check_renormalization_every_point(cantor_pair_32, window, steps, sample)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_pairs(), st.integers(1, 3), st.integers(0, 99), st.data())
+def test_renorm_equals_every_point_check(pair, steps, seed, data):
+    sample = sample_self_similar_measure(pair, 300, seed=seed)
+    x = sample.points
+    mu = expand_level(pair, steps)
+    lo, hi = [], []
+    for a in range(pair.dim):
+        # edges drawn from the shifted sample extremes, or anywhere
+        shifted = np.concatenate([x[:, a].min() + mu.points[:, a], x[:, a].max() + mu.points[:, a]])
+        edge = st.one_of(st.sampled_from(shifted.tolist()), st.floats(-8.0, 8.0))
+        ends = sorted(data.draw(st.lists(edge, min_size=2, max_size=2, unique=True)))
+        lo.append(ends[0])
+        hi.append(ends[1])
+    window = (np.array(lo), np.array(hi))
+    got = check_renormalization(pair, window, steps, sample)
+    assert got == check_renormalization_every_point(pair, window, steps, sample)
+
+
+@pytest.mark.parametrize("axis", [0, -1])
+def test_renorm_with_a_nan_sample_equals_every_point_check(cantor_pair_32, twin_dragon_pair, axis):
+    for pair, window in [
+        (cantor_pair_32, (0.0, 0.5)),
+        (twin_dragon_pair, (np.array([-0.3, -0.2]), np.array([0.4, 0.5]))),
+    ]:
+        points = sample_self_similar_measure(pair, 500, seed=5).points.copy()
+        points[17, axis] = np.nan
+        sample = MeasureSample(points=points, seed=5, count=500)
+        got = check_renormalization(pair, window, 2, sample)
+        assert got == check_renormalization_every_point(pair, window, 2, sample)
+
+
+def test_renorm_tests_only_the_points_whose_shifted_sample_straddles_the_window(
+    cantor_pair_32, monkeypatch
+):
+    calls = []
+    in_box = sdensity._in_box
+
+    def counting(points, lo, hi):
+        calls.append(len(points))
+        return in_box(points, lo, hi)
+
+    monkeypatch.setattr(sdensity, "_in_box", counting)
+    sample = sample_self_similar_measure(cantor_pair_32, 10_000, seed=3)
+    check_renormalization(cantor_pair_32, (0.0, 0.5), 4, sample)
+    # the left-hand side and p = 0: the other 15 level-4 points are at least 2
+    # and shift the sample, which lies in [0, 1], past the window (17 calls
+    # when every point was tested)
+    assert calls == [10_000, 10_000]
+
+
+def test_sampler_and_renorm_memory_is_bounded(cantor_pair_32):
+    sample_self_similar_measure(cantor_pair_32, 1000, seed=7)  # first-call allocations stay out
+    tracemalloc.start()
+    try:
+        sample = sample_self_similar_measure(cantor_pair_32, 1_000_000, seed=7)
+        sampled = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        check_renormalization(cantor_pair_32, (0.0, 0.5), 4, sample)
+        checked = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the peaks of the block-by-block sampler (23.15 MiB) and of the check
+    # that tested every point (38.16 MiB, the sample's 7.6 MiB included): an
+    # added array of the sample's length would show
+    assert sampled <= 23.15 * 2**20
+    assert checked <= 38.16 * 2**20
