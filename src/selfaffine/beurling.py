@@ -11,10 +11,13 @@ Finite truncations under-count the infinite expansion far from the origin.
 A lower-scan window is therefore only *trusted* when the next level assigns
 it the same count; untrusted entries are reported but carry trusted=False.
 
-In 2-D both scans count a window's points in two steps.  In canonical
-(lexicographic) order the points whose x lies in the window form a slab,
-a contiguous run of rows, and as the window moves right both ends of the
-run only advance.  One sliding-slab sweep therefore keeps each slab's
+1-D scans read a sorted line with its rank table, and 2-D scans sweep
+slabs.  A 1-D window's count is a difference of prefix weights at its two
+edges, each found by one search of the sorted coordinates (a rank-table
+read or a binary search, see below).  In 2-D, in canonical (lexicographic)
+order the points whose x lies in the window form a slab, a contiguous run
+of rows, and as the window moves right both ends of the run only
+advance.  One sliding-slab sweep therefore keeps each slab's
 weight per distinct y value up to date from the points entering and
 leaving, a block of slabs at a time, and a cumulative sum along y turns a
 block into window counts.  Counts are integers throughout and every
@@ -188,31 +191,15 @@ def _search(values: np.ndarray, table, edges: np.ndarray, side: str) -> np.ndarr
     return table[k.astype(np.intp)]
 
 
-def _y_ranks(q: WeightedPointSet):
-    """Distinct last coordinates of a set in increasing order, and each point's index among them.
-
-    A 1-D set's points are distinct and sorted, and its one slab needs no
-    ranks, so it gets its coordinates and None.
-    """
-    if q.dim == 1:
-        return q.points[:, 0], None
-    return np.unique(q.points[:, -1], return_inverse=True)
-
-
 def _slab_prefixes(q: WeightedPointSet, ranks, ny: int, lo, hi, rows: int):
-    """Prefix weights along the last axis of the slabs of rows [lo[i], hi[i]), a block at a time.
+    """Prefix weights along y of the 2-D slabs of rows [lo[i], hi[i]), a block at a time.
 
     Both ends never decrease, so a slab's y-histogram is the previous one
     plus the points entering below hi and minus those leaving below lo.  A
     block of ``rows`` slabs is built from these events and a carried row.
     Yields (a, pref) per block, where pref[r, k] is the weight of slab
-    a + r at y-ranks below k.  In 1-D the one slab [0, n) is the whole
-    set, already sorted, so its prefix is the set's own and ``ranks`` is
-    not needed.
+    a + r at y-ranks below k.
     """
-    if q.dim == 1:
-        yield 0, _prefix_sums(q.weights)[None]
-        return
     hist = np.zeros(ny, dtype=np.int64)
     prev_lo = prev_hi = 0
     for a in range(0, len(lo), rows):
@@ -232,42 +219,47 @@ def _slab_prefixes(q: WeightedPointSet, ranks, ny: int, lo, hi, rows: int):
         yield a, pref
 
 
-def _sup_scan(pts: WeightedPointSet, size: float, yu, ranks, table):
-    """Largest weight of a window with its lower corner at a point, and the window centre.
+def _line_sup(xs, table, pref, size: float):
+    """Largest weight of a 1-D window [x, x + size] at a point x, and the window centre.
 
-    In 2-D each distinct corner x cuts the slab of points with x in
-    [x, x + size]; in 1-D the one slab is the whole set.  The window slides
-    along the last axis with its lower edge at each y of the slab, so the
-    slabs' box counts are read off one blocked sweep (``_slab_prefixes``,
-    at most ``_SCAN_CELLS`` counts per block beyond a single slab) at the
-    y-ranks present in each slab; ``table`` is the rank table of ``yu``,
-    or None.  Ties go to the first slab in increasing x, then to the
-    smallest y.
+    ``xs`` are the sorted coordinates, ``table`` their rank table or None
+    (``_search``), and ``pref`` their prefix weights.  Ties go to the
+    smallest x.
+    """
+    counts = pref[_search(xs, table, xs + (size + BOUNDARY_TOL * size), "right")] - pref[:-1]
+    k = int(np.argmax(counts))
+    return int(counts[k]), (float(xs[k] + size / 2),)
+
+
+def _sup_scan(pts: WeightedPointSet, size: float, yu, ranks):
+    """Largest weight of a 2-D window with its lower corner at a point, and the window centre.
+
+    Each distinct corner x cuts the slab of points with x in [x, x + size].
+    The window slides along y with its lower edge at each y of the slab, so
+    the slabs' box counts are read off one blocked sweep
+    (``_slab_prefixes``, at most ``_SCAN_CELLS`` counts per block beyond a
+    single slab) at the y-ranks present in each slab; ``yu`` are the
+    distinct y values and ``ranks`` each point's index among them.  Ties go
+    to the first slab in increasing x, then to the smallest y.
     """
     tol = BOUNDARY_TOL * size
     xs = pts.points[:, 0]
-    if pts.dim == 1:
-        lo, hi = [0], [len(pts)]
-    else:
-        lo = np.flatnonzero(np.concatenate([[True], xs[1:] != xs[:-1]]))
-        hi = np.searchsorted(xs, xs[lo] + (size + tol), side="right")
-    top = _search(yu, table, yu + (size + tol), "right")
+    lo = np.flatnonzero(np.concatenate([[True], xs[1:] != xs[:-1]]))
+    hi = np.searchsorted(xs, xs[lo] + (size + tol), side="right")
+    top = np.searchsorted(yu, yu + (size + tol), side="right")
     ny = len(yu)
     best, at = -1, None
     for a, pref in _slab_prefixes(pts, ranks, ny, lo, hi, max(1, _SCAN_CELLS // (ny + 1))):
         counts = pref[:, top] - pref[:, :-1]
-        if ranks is not None:
-            # a y-rank absent from the slab is no corner there: it counts 0,
-            # below every corner, which counts at least its own weight (a
-            # 1-D set's one slab holds every rank)
-            counts *= pref[:, 1:] != pref[:, :-1]
+        # a y-rank absent from the slab is no corner there: it counts 0,
+        # below every corner, which counts at least its own weight
+        counts *= pref[:, 1:] != pref[:, :-1]
         k = int(np.argmax(counts))
         if counts.flat[k] > best:
             best = int(counts.flat[k])
             at = (a + k // ny, k % ny)
     i, r = at
-    anchor = (float(xs[lo[i]] + size / 2),) if pts.dim == 2 else ()
-    return best, anchor + (float(yu[r] + size / 2),)
+    return best, (float(xs[lo[i]] + size / 2), float(yu[r] + size / 2))
 
 
 def _window_volumes(schedule: WindowSchedule, dim: int) -> list[float]:
@@ -297,17 +289,19 @@ def upper_density_profile(
 
     Ties in the argmax go to the lexicographically smallest window corner.
     A size whose volume underflows to 0 or overflows raises ``ValueError``.
-    The window tops of a 1-D set are looked up in the rank table of its
-    coordinates (``_rank_table``), built once for all sizes, when they
-    qualify for one; otherwise, and in 2-D, they are binary searches.
+    A 1-D set's coordinates, their rank table and prefix weights, and a
+    2-D set's distinct y values and y-ranks, are built once for all sizes.
     """
     dim = _require_dim(pts, "upper_density_profile")
     volumes = _window_volumes(schedule, dim)
-    yu, ranks = _y_ranks(pts)
-    table = _rank_table(yu) if dim == 1 else None
+    if dim == 1:
+        xs = pts.points[:, 0]
+        line = (xs, _rank_table(xs), _prefix_sums(pts.weights))
+    else:
+        yu, ranks = np.unique(pts.points[:, -1], return_inverse=True)
     entries = []
     for size, volume in zip(schedule.sizes, volumes):
-        count, center = _sup_scan(pts, size, yu, ranks, table)
+        count, center = _line_sup(*line, size) if dim == 1 else _sup_scan(pts, size, yu, ranks)
         entries.append(
             WindowEntry(
                 size=size,
@@ -475,7 +469,10 @@ def lower_density_profile(
     volumes = _window_volumes(schedule, dim)
     radius = np.max(np.abs(pts.points), axis=0)
     sets = [q for q in (pts, next_level_pts) if q is not None]
-    levels = _merged_line(sets) if dim == 1 else [(q, *_y_ranks(q)) for q in sets]
+    if dim == 1:
+        levels = _merged_line(sets)
+    else:
+        levels = [(q, *np.unique(q.points[:, -1], return_inverse=True)) for q in sets]
     entries = []
     for size, volume in zip(schedule.sizes, volumes):
         if np.any(2 * radius < size):

@@ -84,12 +84,13 @@ def translation_dominance_check(cp: CantorPair, k: int, cap: int = DEFAULT_CAP):
     every interval's count equals that of its minimal point-bounded shrink,
     so this family is exhaustive.  Returns (True, None) or (False, (a, b))
     with the first counterexample in scan order (``_dominance_scan``).
+    ``cap`` bounds the expansion's mass m**k and the scan's rank table.
     """
     pts = expand_level(cp.pair(), k, cap)
-    return _dominance_scan(pts.coords(), prefix_weights(pts))
+    return _dominance_scan(pts.coords(), prefix_weights(pts), cap)
 
 
-def _dominance_scan(xs: np.ndarray, pref: np.ndarray):
+def _dominance_scan(xs: np.ndarray, pref: np.ndarray, cap: int = DEFAULT_CAP):
     """First interval [xs[i], xs[j]] whose count exceeds that of [0, xs[j] - xs[i]].
 
     Scan order is by anchor i, then by right end j >= i.  The anchors go in
@@ -99,12 +100,13 @@ def _dominance_scan(xs: np.ndarray, pref: np.ndarray):
     0, so it never flags and needs no mask.  The translate counts come from
     ``_search`` over the same lengths + ``_COUNT_TOL`` as a per-anchor binary
     search would use; integer coordinates read them off a rank table, which
-    may span up to the n(n + 1)/2 lookups the scan makes, and every other
-    set searches.  Both give the binary search's counts exactly, so the
-    verdict and the witness are those of scanning anchor by anchor.
+    may span up to the n(n + 1)/2 lookups the scan makes but not beyond
+    ``cap``, and every other set searches.  Both give the binary search's
+    counts exactly, so the verdict and the witness are those of scanning
+    anchor by anchor.
     """
     n = len(xs)
-    table = _rank_table(xs, n * (n + 1) // 2)
+    table = _rank_table(xs, min(n * (n + 1) // 2, cap))
     a = 0
     while a < n:
         b = min(n, a + max(1, _SCAN_CELLS // (n - a)))

@@ -277,8 +277,7 @@ def sample_self_similar_measure(
     if pair.dim == 1:
         binv = float(pair.matrix.inverse[0, 0])
         digits = pair.digits.vectors[:, 0]
-        xs = _chaos_game_1d(binv, digits, idx)[burn_in:]
-        points = xs[:, None].copy()
+        points = _chaos_game_1d(binv, digits, idx)[burn_in:, None]
     else:
         binv = pair.matrix.inverse
         shifts = pair.digits.vectors @ binv.T
@@ -336,7 +335,7 @@ def check_renormalization(
     mu = expand_level(pair, n_steps, cap)
     x = sample.points
     bn = np.linalg.matrix_power(pair.matrix.entries, n_steps)
-    lhs_ind = _in_box(x @ bn.T, lo, hi).astype(float)
+    lhs_ind = _in_box(x @ bn.T, lo, hi)
     f = np.zeros(len(x))
     xmin, xmax = x.min(axis=0), x.max(axis=0)
     for p, w in zip(mu.points, mu.weights):

@@ -23,6 +23,7 @@ from selfaffine import (
     upper_s_density_profile,
 )
 from selfaffine import cantor
+from selfaffine.pointset import prefix_weights
 
 
 def brute_points(N, d, m):
@@ -146,13 +147,14 @@ class TestTranslationDominance:
         assert dominance_anchor_by_anchor(xs, pref) == (False, (4.0, 5.0))
 
     @settings(max_examples=300, deadline=None)
-    @given(dominance_sets(), st.integers(1, 64))
-    def test_blocked_scan_equals_anchor_loop(self, case, cells):
+    # integer spans reach 91, so a cap up to 128 falls on either side of some
+    @given(dominance_sets(), st.integers(1, 64), st.integers(1, 128))
+    def test_blocked_scan_equals_anchor_loop(self, case, cells, cap):
         xs, pref = case
         with pytest.MonkeyPatch.context() as mp:
             # a few cells per block, so one scan spans many blocks
             mp.setattr(cantor, "_SCAN_CELLS", cells)
-            got = cantor._dominance_scan(xs, pref)
+            got = cantor._dominance_scan(xs, pref, cap)
         assert got == dominance_anchor_by_anchor(xs, pref)
 
     def test_integer_sets_read_a_rank_table_within_the_lookup_count(self, monkeypatch):
@@ -169,6 +171,26 @@ class TestTranslationDominance:
             tables.clear()
             assert translation_dominance_check(CantorPair(N, d), 8) == (True, None)
             assert tables and set(tables) == {table}
+
+    def test_rank_table_span_stays_within_cap(self, monkeypatch):
+        spans = []
+        rank_table = cantor._rank_table
+
+        def recording(values, limit):
+            table = rank_table(values, limit)
+            spans.append(None if table is None else len(table) - 1)
+            return table
+
+        monkeypatch.setattr(cantor, "_rank_table", recording)
+        cp = CantorPair(3, 2)
+        pts = expand_level(cp.pair(), 8)
+        expected = dominance_anchor_by_anchor(pts.coords(), prefix_weights(pts))
+        # span 3**8 = 6561, within the 256 * 257 / 2 lookups: a cap below it
+        # searches, and a cap of it builds the table
+        for cap, span in [(256, None), (6560, None), (6561, 6561)]:
+            spans.clear()
+            assert translation_dominance_check(cp, 8, cap) == expected
+            assert spans == [span]
 
     def test_memory_is_bounded(self):
         translation_dominance_check(CantorPair(3, 2), 6)  # first-call allocations stay out

@@ -552,19 +552,36 @@ def test_renorm_tests_only_the_points_whose_shifted_sample_straddles_the_window(
     assert calls == [10_000, 10_000]
 
 
-def test_sampler_and_renorm_memory_is_bounded(cantor_pair_32):
-    sample_self_similar_measure(cantor_pair_32, 1000, seed=7)  # first-call allocations stay out
+def sampler_and_renorm_peaks(pair):
+    """The 10**6-sample sample and the peaks of sampling it and of checking it, sample held."""
+    sample_self_similar_measure(pair, 1000, seed=7)  # first-call allocations stay out
     tracemalloc.start()
     try:
-        sample = sample_self_similar_measure(cantor_pair_32, 1_000_000, seed=7)
+        sample = sample_self_similar_measure(pair, 1_000_000, seed=7)
         sampled = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        check_renormalization(cantor_pair_32, (0.0, 0.5), 4, sample)
+        check_renormalization(pair, (0.0, 0.5), 4, sample)
         checked = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return sample, sampled, checked
+
+
+def test_sampler_and_renorm_memory_is_bounded(cantor_pair_32):
+    _, sampled, checked = sampler_and_renorm_peaks(cantor_pair_32)
     # the peaks of the block-by-block sampler (23.15 MiB) and of the check
     # that tested every point (38.16 MiB, the sample's 7.6 MiB included): an
     # added array of the sample's length would show
     assert sampled <= 23.15 * 2**20
     assert checked <= 38.16 * 2**20
+
+
+def test_sampler_returns_a_view_and_renorm_keeps_a_bool_indicator(cantor_pair_32):
+    sample, sampled, checked = sampler_and_renorm_peaks(cantor_pair_32)
+    # a view of the chaos-game output past the burn-in (15.77 MiB), and a check
+    # whose left-hand side stays the 1-byte mask of the box test (25.76 MiB,
+    # the sample's 7.6 MiB included): a copy of the sample, or a float
+    # indicator, adds 7.6 MiB
+    assert sample.points.flags.c_contiguous and not sample.points.flags.writeable
+    assert sampled <= 16.5 * 2**20
+    assert checked <= 27 * 2**20
