@@ -27,9 +27,13 @@ ties included, are exactly those of scanning slab by slab.
 In 1-D the lower scan searches a level and its next level together: one
 sorted array holds the distinct coordinates of both, each level keeps its
 prefix weights over that array, and one pair of searches per candidate
-centre serves both levels.  The 2-D lower scan keeps one sweep per level,
-because a merged sweep would widen each level's histogram to the y values
-of both sets.
+centre serves both levels.  It builds and counts its candidate centres
+block by block in scan order, from the two sorted runs of breaks.  The
+2-D lower scan keeps one sweep per level, because a merged sweep would
+widen each level's histogram to the y values of both sets.  Every lower
+scan stops at the first window of the least rank any window can have (a
+stable empty window, or without a next level an empty one), since later
+windows could only tie it.
 
 A 1-D scan whose sorted coordinates are integers, all below 2**52 in
 magnitude, on a span of at most ``_TABLE_SPAN`` times their count (the
@@ -61,6 +65,10 @@ NATURAL_SCHEDULE_LEN = 9
 
 #: Counts held at once by one block of a blocked scan, here and in ``sdensity``.
 _SCAN_CELLS = 2**15
+
+#: Low breaks in the first block of a 1-D lower scan (``_line_blocks``); later
+#: blocks double up to ``_SCAN_CELLS``.
+_FIRST_LINE_BLOCK = 2**10
 
 #: Largest span of sorted integer coordinates, as a multiple of their count,
 #: that a 1-D scan reads off a rank table (``_rank_table``).
@@ -188,7 +196,8 @@ def _search(values: np.ndarray, table, edges: np.ndarray, side: str) -> np.ndarr
         k = np.floor(edges)
         k -= values[0] - 1
     np.clip(k, 0, len(table) - 1, out=k)
-    return table[k.astype(np.intp)]
+    # numpy gathers faster with intp indices than with the table's int32
+    return table[k.astype(np.intp)].astype(np.intp)
 
 
 def _slab_prefixes(q: WeightedPointSet, ranks, ny: int, lo, hi, rows: int):
@@ -319,10 +328,11 @@ def upper_density_profile(
 
 
 def _candidate_centers(breaks: np.ndarray, zlo: float, zhi: float) -> np.ndarray:
-    """Midpoints of the cells cut by ``breaks`` in [zlo, zhi], plus both ends.
+    """Midpoints of the cells cut by ``breaks`` in [zlo, zhi], plus both ends, for a 2-D scan.
 
     The breaks arrive as a few runs, each sorted when its coordinates are
-    (a 1-D set, or x in 2-D), which a stable sort merges in linear time.
+    (x in canonical order), which a stable sort merges in linear time.  The
+    1-D scan builds the same centres block by block (``_line_blocks``).
     """
     inner = np.sort(breaks[(breaks > zlo) & (breaks < zhi)], kind="stable")
     first = np.ones(len(inner), dtype=bool)
@@ -360,11 +370,42 @@ def _cut(values, table, centers, size, side):
     return _search(values, table, edge, side)
 
 
-def _line_counts(line, size, centers):
-    """Each level's count at every centre of a 1-D scan, as one block of one row."""
+def _line_blocks(line, size, zlo, zhi):
+    """Candidate centres of a 1-D scan and each level's counts there, a block at a time.
+
+    The breaks are two sorted runs, the merged coordinates minus and plus
+    size/2, each trimmed to (zlo, zhi).  A block takes the next slice of
+    the low run and the part of the high run below the low break after it,
+    so block after block the breaks come in sorted order.  Each block is
+    sorted and deduplicated on its own, against the last grid point carried
+    from the block before, which starts at ``zlo``; the centres are the
+    midpoints of that grid, after ``zlo`` itself in the first block, and
+    the midpoint to ``zhi`` and ``zhi`` itself close the last.  Blocks take
+    ``_FIRST_LINE_BLOCK`` low breaks at first and double up to
+    ``_SCAN_CELLS``, so a scan that stops early builds little.  Yields
+    ((centres,), counts) per block, one count array per level.
+    """
     u, table, prefs = line
-    lo, hi = (_cut(u, table, centers[0], size, side) for side in ("left", "right"))
-    return [(0, [(pref[hi] - pref[lo])[None] for pref in prefs])]
+    a, b = (r[np.searchsorted(r, zlo, "right") : np.searchsorted(r, zhi, "left")]
+            for r in (u - size / 2, u + size / 2))
+    prev, head = zlo, [zlo]
+    i = j = 0
+    step = min(_FIRST_LINE_BLOCK, _SCAN_CELLS)
+    while True:
+        i1 = min(len(a), i + step)
+        j1 = len(b) if i1 == len(a) else int(np.searchsorted(b, a[i1], "left"))
+        grid = np.concatenate([[prev], np.sort(np.concatenate([a[i:i1], b[j:j1]]), kind="stable")])
+        grid = grid[np.concatenate([[True], grid[1:] != grid[:-1]])]
+        prev = grid[-1]
+        tail = [(prev + zhi) / 2.0, zhi] if i1 == len(a) else []
+        centers = np.concatenate([head, (grid[:-1] + grid[1:]) / 2.0, tail])
+        if len(centers):  # a block whose breaks all round to the carried one adds none
+            lo, hi = (_cut(u, table, centers, size, side) for side in ("left", "right"))
+            yield (centers,), [pref[hi] - pref[lo] for pref in prefs]
+        if tail:
+            return
+        i, j, head = i1, j1, []
+        step = min(2 * step, _SCAN_CELLS)
 
 
 def _slab_counts(ranked, size, centers):
@@ -377,8 +418,9 @@ def _slab_counts(ranked, size, centers):
         sweeps.append(_slab_prefixes(q, ranks, len(yu), lo, hi, rows))
         edges.append([_cut(yu, None, centers[-1], size, side) for side in ("left", "right")])
     for blocks in zip(*sweeps):
+        a = blocks[0][0]
         counts = [pref[:, top] - pref[:, bottom] for (_, pref), (bottom, top) in zip(blocks, edges)]
-        yield blocks[0][0], counts
+        yield (centers[0][a : a + len(counts[0])], centers[-1]), counts
 
 
 def _inf_scan(levels, size, zlo, zhi, cap, offset):
@@ -389,51 +431,61 @@ def _inf_scan(levels, size, zlo, zhi, cap, offset):
 
     In 1-D ``levels`` is the merged line of the level and, when given, its
     next level (``_merged_line``).  The breaks are the merged coordinates
-    plus and minus size/2, each centre's window ends are one lookup into
-    the merged coordinates (a rank-table read or a binary search, see
-    ``_search``), and each level's count is read from its own prefix at
-    those ends.
+    plus and minus size/2.  The centres are built and counted block by
+    block in scan order (``_line_blocks``): each centre's window ends are
+    one lookup into the merged coordinates (a rank-table read or a binary
+    search, see ``_search``), and each level's count is read from its own
+    prefix at those ends.
 
-    In 2-D ``levels`` holds (set, distinct y, y-ranks) per level.  The last
-    axis is scanned along the slab of points whose x lies in the window,
-    one per candidate x.  Each set's slabs are read off its own blocked
-    sweep (``_slab_prefixes``), and the sweeps advance block by block over
-    the same candidate x, at most ``_SCAN_CELLS`` counts per block beyond a
-    single line.  The levels keep separate sweeps because a merged sweep
-    would widen the level's histogram to the y values of both.  More than
-    ``cap`` candidate windows at this size raise ``BudgetExceeded`` before
-    the sweep.
+    In 2-D ``levels`` holds (set, distinct y, y-ranks) per level, and the
+    centres of both axes are built up front (``_candidate_centers``).  The
+    last axis is scanned along the slab of points whose x lies in the
+    window, one per candidate x.  Each set's slabs are read off its own
+    blocked sweep (``_slab_prefixes``), and the sweeps advance block by
+    block over the same candidate x, at most ``_SCAN_CELLS`` counts per
+    block beyond a single line.  The levels keep separate sweeps because a
+    merged sweep would widen the level's histogram to the y values of both.
+    More than ``cap`` candidate windows at this size raise
+    ``BudgetExceeded`` before the sweep.
 
     Stable windows (same count at both levels) rank before unstable ones,
     whose rank is raised by ``offset``, more than any count; then by count,
-    then first in row-major order (x centre, then y centre).
+    then first in row-major order (x centre, then y centre).  No window
+    ranks below 0 with a next level, or below ``offset`` without one (every
+    window is then unstable), so the scan stops at the first block that
+    reaches that floor: a later window could only tie it, and ties go to
+    the earlier window.
     """
     dim = len(zlo)
     if dim == 1:
-        coords = [[levels[0]]]
+        blocks = _line_blocks(levels, size, zlo[0], zhi[0])
     else:
-        coords = [[q.points[:, a] for q, _, _ in levels] for a in range(dim)]
-    # the break arrays are freed axis by axis
-    half = (-size / 2, size / 2)
-    centers = [
-        _candidate_centers(np.concatenate([c + h for c in cs for h in half]), zlo[a], zhi[a])
-        for a, cs in enumerate(coords)
-    ]
-    windows = math.prod(map(len, centers))
-    if dim == 2 and windows > cap:
-        raise BudgetExceeded(f"{windows} candidate windows at size {size:g} exceed cap {cap}")
-    blocks = (_line_counts if dim == 1 else _slab_counts)(levels, size, centers)
-    ncol = len(centers[-1])
+        # the break arrays are freed axis by axis
+        half = (-size / 2, size / 2)
+        centers = [
+            _candidate_centers(
+                np.concatenate([q.points[:, a] + h for q, _, _ in levels for h in half]),
+                zlo[a],
+                zhi[a],
+            )
+            for a in range(dim)
+        ]
+        windows = math.prod(map(len, centers))
+        if windows > cap:
+            raise BudgetExceeded(f"{windows} candidate windows at size {size:g} exceed cap {cap}")
+        blocks = _slab_counts(levels, size, centers)
     best = None
-    for row, counts in blocks:
+    for axes, counts in blocks:
         stable = counts[0] == counts[1] if len(counts) == 2 else np.zeros(counts[0].shape, bool)
         rank = np.where(stable, counts[0], counts[0] + offset)
+        floor = 0 if len(counts) == 2 else offset
         k = int(np.argmin(rank))
         if best is None or rank.flat[k] < best[0]:
-            i, j = divmod(k, ncol)
-            at = (j,) if dim == 1 else (row + i, j)
-            center = tuple(float(c[t]) for c, t in zip(centers, at))
+            at = np.unravel_index(k, rank.shape)
+            center = tuple(float(c[t]) for c, t in zip(axes, at))
             best = (rank.flat[k], int(counts[0].flat[k]), center, bool(stable.flat[k]))
+            if best[0] == floor:
+                break
     return best[1:]
 
 
@@ -458,10 +510,14 @@ def lower_density_profile(
 
     In 1-D both levels are scanned together over their merged coordinates
     (``_merged_line``), built once for all sizes with their rank table when
-    they qualify for one.  In 2-D each level keeps its own slab sweep; the
-    candidate windows of one size grow with the square of the set (about
-    6.7 n^2 on an irrational set), so a size with more than ``cap`` of them
-    raises ``BudgetExceeded`` before its sweep.  In 1-D they grow linearly.
+    they qualify for one, and each size's candidate centres are built and
+    counted block by block.  In 2-D each level keeps its own slab sweep;
+    the candidate windows of one size grow with the square of the set
+    (about 6.7 n^2 on an irrational set), so a size with more than ``cap``
+    of them raises ``BudgetExceeded`` before its sweep.  In 1-D they grow
+    linearly.  A size's scan stops at the first window of the least
+    possible rank (``_inf_scan``), so a one-sided support whose box starts
+    with a stable empty window costs one small block per size.
     """
     dim = _require_dim(pts, "lower_density_profile")
     if next_level_pts is not None and next_level_pts.dim != dim:

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import rank_table_by_counting
 
@@ -520,6 +520,119 @@ def test_lower_1d_scan_memory_is_bounded(doubling_pair):
         tracemalloc.stop()
     # 11.7 MiB with one search per level
     assert peak <= 13 * 2**20
+
+
+# 1-D lower scans build their centres block by block and stop at the least possible rank
+
+
+@st.composite
+def block_cut_cases(draw):
+    """An integer 1-D set of up to 60 points, integer and half-integer sizes, maybe a next level.
+
+    Integer sizes put low breaks u - size/2 on high breaks u' + size/2, so
+    with blocks of a few breaks such ties fall on block cuts.  Some cases
+    scale everything by 2**25 and add next-level points within 2e-9 of 0:
+    their breaks round onto those of 0 and onto each other, so a block can
+    start on the break that ends the one before, or hold no new break.
+    """
+    scale = draw(st.sampled_from([1.0, 2.0**25]))
+    x = draw(st.lists(st.integers(-12, 12), min_size=1, max_size=60))
+    pts = WeightedPointSet(scale * np.array(x, float), draw(
+        st.lists(st.integers(1, 3), min_size=len(x), max_size=len(x))))
+    sizes = draw(st.lists(st.integers(1, 48).map(lambda k: scale * k / 2), min_size=1, max_size=5))
+    nxt = None
+    if draw(st.booleans()):
+        extra = scale * np.array(draw(st.lists(st.integers(-14, 14), max_size=20)), float)
+        if scale > 1:
+            near = draw(st.lists(st.sampled_from([-1e-9, 1e-9, 2e-9]), min_size=1, max_size=3))
+            extra = np.concatenate([extra, near])
+        n = len(pts) + len(extra)
+        weights = np.array(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+        if draw(st.booleans()):
+            # most of this level's windows keep their counts
+            weights[:len(pts)] = pts.weights
+        nxt = WeightedPointSet(np.concatenate([pts.points[:, 0], extra]), weights)
+    return pts, nxt, WindowSchedule(tuple(sorted(set(sizes))))
+
+
+S25 = 2.0**25
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_cut_cases(), st.integers(1, 4), st.integers(1, 8))
+# 0 - S25 and 1e-9 - S25 round to one low break, -S25.  With one low break a
+# block it makes up the whole second block, which adds no centre; a centre
+# on -S25 itself would be the only stable window
+@example((WeightedPointSet([-2 * S25, 0.0, 2 * S25, 4 * S25], [2, 1, 1, 1]),
+          WeightedPointSet([-2 * S25, 0.0, 1e-9, 2 * S25, 4 * S25], [1, 1, 1, 2, 2]),
+          WindowSchedule((2 * S25,))), 1, 1)
+def test_line_blocks_equal_slab_loops_across_block_cuts(case, first, cells):
+    pts, nxt, schedule = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(beurling, "_FIRST_LINE_BLOCK", first)
+        mp.setattr(beurling, "_SCAN_CELLS", cells)
+        got = lower_density_profile(pts, schedule, nxt, level=3)
+    assert got == loop_profiles(pts, schedule, nxt, level=3)[1]
+
+
+def lower_scan_lookups(monkeypatch, pts, nxt):
+    """Centres looked up per ``_search`` call of a natural-schedule lower profile's scans."""
+    lookups = []
+    search = beurling._search
+
+    def recording(values, table, edges, side):
+        lookups.append(len(edges))
+        return search(values, table, edges, side)
+
+    monkeypatch.setattr(beurling, "_search", recording)
+    schedule = natural_schedule(pts)
+    lower_density_profile(pts, schedule, nxt)
+    sets = [q for q in (pts, nxt) if q is not None]
+    # the merged line places each set's points first
+    assert lookups[:len(sets)] == [len(q) for q in sets]
+    return schedule, lookups[len(sets):]
+
+
+@pytest.mark.parametrize("pair, k, next_level", [
+    ("doubling_pair", 16, True), ("collision_pair", 8, True), ("doubling_pair", 16, False)])
+def test_lower_scan_stops_in_its_first_block(request, monkeypatch, pair, k, next_level):
+    pair = request.getfixturevalue(pair)
+    pts = expand_level(pair, k)
+    nxt = expand_level(pair, k + 1) if next_level else None
+    schedule, lookups = lower_scan_lookups(monkeypatch, pts, nxt)
+    # a stable empty window, or without a next level an empty one, at the
+    # first centre: one block per size, its low and high edges
+    assert len(lookups) == 2 * len(schedule.sizes)
+    assert max(lookups) <= 2 * beurling._FIRST_LINE_BLOCK + 3
+    entries = lower_density_profile(pts, schedule, nxt).entries
+    assert all(e.inf_count == 0 and e.trusted == next_level for e in entries)
+
+
+def test_lower_scan_without_a_stable_empty_window_looks_up_every_centre(
+    negative_doubling_pair, monkeypatch
+):
+    pts, nxt = expand_level(negative_doubling_pair, 14), expand_level(negative_doubling_pair, 15)
+    schedule, lookups = lower_scan_lookups(monkeypatch, pts, nxt)
+    u = np.unique(np.concatenate([pts.points[:, 0], nxt.points[:, 0]]))
+    radius = float(np.max(np.abs(pts.points)))
+    breaks = [(np.concatenate([u - s / 2, u + s / 2]), -radius + s / 2, radius - s / 2)
+              for s in schedule.sizes]
+    centres = sum(len(_candidate_centers(*b)) for b in breaks)
+    assert len(lookups) > 2 * len(schedule.sizes)
+    assert sum(lookups) == 2 * centres
+
+
+def test_lower_1d_scan_that_stops_early_allocates_little(doubling_pair):
+    pts, nxt = expand_level(doubling_pair, 16), expand_level(doubling_pair, 17)
+    schedule = natural_schedule(pts)
+    tracemalloc.start()
+    try:
+        lower_density_profile(pts, schedule, nxt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 6.0 MiB with the first block alone: the merged line, its rank table and prefixes
+    assert peak <= 7 * 2**20
 
 
 @settings(max_examples=100, deadline=None)
