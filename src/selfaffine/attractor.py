@@ -15,7 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beurling import DensityEstimate, natural_schedule, trend_divergent, upper_density_profile
+from .beurling import (
+    DensityEstimate,
+    _require_dim,
+    natural_schedule,
+    trend_divergent,
+    upper_density_profile,
+)
 from .errors import (
     NoTrustedLowerEntry,
     NotATileCandidate,
@@ -301,12 +307,12 @@ def osc_verdict(pair: SelfAffinePair, k: int, cap: int = DEFAULT_CAP) -> OscRepo
 
     if pair.dim not in (1, 2):
         # A collision-free pair goes on to the density profile, which refuses
-        # this dimension: reach it before any separation is measured.
+        # this dimension: refuse it before any separation is measured.
         for pts in expand_levels(pair, k, cap):
             if pts.weights.max() >= 2:
                 break
         else:
-            upper_density_profile(pts, natural_schedule(pts), level=k)
+            _require_dim(pts, "upper_density_profile")
 
     separations = []
     first_collision = None

@@ -27,13 +27,14 @@ ties included, are exactly those of scanning slab by slab.
 In 1-D the lower scan searches a level and its next level together: one
 sorted array holds the distinct coordinates of both, each level keeps its
 prefix weights over that array, and one pair of searches per candidate
-centre serves both levels.  It builds and counts its candidate centres
-block by block in scan order, from the two sorted runs of breaks.  The
-2-D lower scan keeps one sweep per level, because a merged sweep would
-widen each level's histogram to the y values of both sets.  Every lower
-scan stops at the first window of the least rank any window can have (a
-stable empty window, or without a next level an empty one), since later
-windows could only tie it.
+centre serves both levels.  Both dimensions build each axis's candidate
+centres with one generator, block by block, from the distinct coordinates
+of both levels.  The 2-D scan takes every block before its sweep, whose
+budget counts the windows first, and keeps one sweep per level, because a
+merged sweep would widen each level's histogram to the y values of both
+sets.  Every lower scan stops at the first window of the least rank any
+window can have (a stable empty window, or without a next level an empty
+one), since later windows could only tie it.
 
 A 1-D scan whose sorted coordinates are integers, all below 2**52 in
 magnitude, on a span of at most ``_TABLE_SPAN`` times their count (the
@@ -66,8 +67,8 @@ NATURAL_SCHEDULE_LEN = 9
 #: Counts held at once by one block of a blocked scan, here and in ``sdensity``.
 _SCAN_CELLS = 2**15
 
-#: Low breaks in the first block of a 1-D lower scan (``_line_blocks``); later
-#: blocks double up to ``_SCAN_CELLS``.
+#: Low breaks in the first block of a lower scan's centres on one axis
+#: (``_center_blocks``); later blocks double up to ``_SCAN_CELLS``.
 _FIRST_LINE_BLOCK = 2**10
 
 #: Largest span of sorted integer coordinates, as a multiple of their count,
@@ -85,6 +86,8 @@ class WindowSchedule:
         if len(self.sizes) == 0:
             raise ValueError("schedule must contain at least one size")
         arr = np.asarray(self.sizes, dtype=float)
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("window sizes must be finite")
         if arr[0] <= 0 or np.any(np.diff(arr) <= 0):
             raise ValueError("window sizes must be positive and strictly increasing")
         object.__setattr__(self, "sizes", tuple(float(s) for s in arr))
@@ -327,36 +330,26 @@ def upper_density_profile(
     )
 
 
-def _candidate_centers(breaks: np.ndarray, zlo: float, zhi: float) -> np.ndarray:
-    """Midpoints of the cells cut by ``breaks`` in [zlo, zhi], plus both ends, for a 2-D scan.
+def _distinct(values):
+    """Sorted distinct values; ``np.unique`` would import ``numpy.ma`` (numpy 2.3 and later)."""
+    v = np.sort(values, kind="stable")  # merges sorted runs in linear time
+    return v[np.concatenate([[True], v[1:] != v[:-1]])]
 
-    The breaks arrive as a few runs, each sorted when its coordinates are
-    (x in canonical order), which a stable sort merges in linear time.  The
-    1-D scan builds the same centres block by block (``_line_blocks``).
+
+def _merged_line(u, sets):
+    """The rank table of 1-D sets' sorted distinct coordinates ``u``, and each set's prefix weights.
+
+    Every coordinate of a set is among ``u``, so a set's weight below a
+    position of ``u`` is its weight below that value.  The rank table
+    (``_rank_table``) is None when ``u`` does not qualify for one.
     """
-    inner = np.sort(breaks[(breaks > zlo) & (breaks < zhi)], kind="stable")
-    first = np.ones(len(inner), dtype=bool)
-    first[1:] = inner[1:] != inner[:-1]
-    grid = np.concatenate([[zlo], inner[first], [zhi]])
-    return np.concatenate([[zlo], (grid[:-1] + grid[1:]) / 2.0, [zhi]])
-
-
-def _merged_line(sets):
-    """The sorted distinct coordinates of 1-D sets, their rank table, and each set's prefix weights.
-
-    Every coordinate of a set is among the merged ones, so a set's weight
-    below a merged position is its weight below that value.  The rank
-    table (``_rank_table``) is None when the merged coordinates do not
-    qualify for one.
-    """
-    u = np.unique(np.concatenate([q.points[:, 0] for q in sets]))
     table = _rank_table(u)
     prefs = []
     for q in sets:
         w = np.zeros(len(u), dtype=np.int64)
         w[_search(u, table, q.points[:, 0], "left")] = q.weights
         prefs.append(_prefix_sums(w))
-    return u, table, prefs
+    return table, prefs
 
 
 def _cut(values, table, centers, size, side):
@@ -370,22 +363,20 @@ def _cut(values, table, centers, size, side):
     return _search(values, table, edge, side)
 
 
-def _line_blocks(line, size, zlo, zhi):
-    """Candidate centres of a 1-D scan and each level's counts there, a block at a time.
+def _center_blocks(u, size, zlo, zhi):
+    """Candidate centres on one axis of a lower scan, a block at a time in increasing order.
 
-    The breaks are two sorted runs, the merged coordinates minus and plus
-    size/2, each trimmed to (zlo, zhi).  A block takes the next slice of
-    the low run and the part of the high run below the low break after it,
-    so block after block the breaks come in sorted order.  Each block is
-    sorted and deduplicated on its own, against the last grid point carried
-    from the block before, which starts at ``zlo``; the centres are the
-    midpoints of that grid, after ``zlo`` itself in the first block, and
-    the midpoint to ``zhi`` and ``zhi`` itself close the last.  Blocks take
-    ``_FIRST_LINE_BLOCK`` low breaks at first and double up to
-    ``_SCAN_CELLS``, so a scan that stops early builds little.  Yields
-    ((centres,), counts) per block, one count array per level.
+    The breaks are two sorted runs, the axis's distinct coordinates ``u``
+    minus and plus size/2, each trimmed to (zlo, zhi).  A block takes the
+    next slice of the low run and the part of the high run below the low
+    break after it, so block after block the breaks come in sorted order.
+    Each block is sorted and deduplicated on its own, against the last grid
+    point carried from the block before, which starts at ``zlo``; the
+    centres are the midpoints of that grid, after ``zlo`` itself in the
+    first block, and the midpoint to ``zhi`` and ``zhi`` itself close the
+    last.  Blocks take ``_FIRST_LINE_BLOCK`` low breaks at first and double
+    up to ``_SCAN_CELLS``, so a scan that stops early builds little.
     """
-    u, table, prefs = line
     a, b = (r[np.searchsorted(r, zlo, "right") : np.searchsorted(r, zhi, "left")]
             for r in (u - size / 2, u + size / 2))
     prev, head = zlo, [zlo]
@@ -394,14 +385,12 @@ def _line_blocks(line, size, zlo, zhi):
     while True:
         i1 = min(len(a), i + step)
         j1 = len(b) if i1 == len(a) else int(np.searchsorted(b, a[i1], "left"))
-        grid = np.concatenate([[prev], np.sort(np.concatenate([a[i:i1], b[j:j1]]), kind="stable")])
-        grid = grid[np.concatenate([[True], grid[1:] != grid[:-1]])]
+        grid = _distinct(np.concatenate([[prev], a[i:i1], b[j:j1]]))
         prev = grid[-1]
         tail = [(prev + zhi) / 2.0, zhi] if i1 == len(a) else []
         centers = np.concatenate([head, (grid[:-1] + grid[1:]) / 2.0, tail])
         if len(centers):  # a block whose breaks all round to the carried one adds none
-            lo, hi = (_cut(u, table, centers, size, side) for side in ("left", "right"))
-            yield (centers,), [pref[hi] - pref[lo] for pref in prefs]
+            yield centers
         if tail:
             return
         i, j, head = i1, j1, []
@@ -423,30 +412,30 @@ def _slab_counts(ranked, size, centers):
         yield (centers[0][a : a + len(counts[0])], centers[-1]), counts
 
 
-def _inf_scan(levels, size, zlo, zhi, cap, offset):
+def _inf_scan(merged, levels, size, zlo, zhi, cap, offset):
     """Least window count over the candidate centres, preferring stable windows.
 
     Window edges that put a point on the boundary cut each axis into cells,
-    and a cell's midpoint is a candidate centre.
+    and a cell's midpoint is a candidate centre.  ``merged`` holds each
+    axis's distinct coordinates over the level and, when given, its next
+    level, from which ``_center_blocks`` builds the axis's centres.
 
-    In 1-D ``levels`` is the merged line of the level and, when given, its
-    next level (``_merged_line``).  The breaks are the merged coordinates
-    plus and minus size/2.  The centres are built and counted block by
-    block in scan order (``_line_blocks``): each centre's window ends are
+    In 1-D ``levels`` is the rank table of the merged coordinates and each
+    level's prefix weights over them (``_merged_line``).  The centres are
+    counted block by block in scan order: each centre's window ends are
     one lookup into the merged coordinates (a rank-table read or a binary
     search, see ``_search``), and each level's count is read from its own
     prefix at those ends.
 
-    In 2-D ``levels`` holds (set, distinct y, y-ranks) per level, and the
-    centres of both axes are built up front (``_candidate_centers``).  The
+    In 2-D ``levels`` holds (set, distinct y, y-ranks) per level.  Every
+    block of both axes is taken before the sweep, since more than ``cap``
+    candidate windows at this size raise ``BudgetExceeded`` before it.  The
     last axis is scanned along the slab of points whose x lies in the
     window, one per candidate x.  Each set's slabs are read off its own
     blocked sweep (``_slab_prefixes``), and the sweeps advance block by
     block over the same candidate x, at most ``_SCAN_CELLS`` counts per
     block beyond a single line.  The levels keep separate sweeps because a
     merged sweep would widen the level's histogram to the y values of both.
-    More than ``cap`` candidate windows at this size raise
-    ``BudgetExceeded`` before the sweep.
 
     Stable windows (same count at both levels) rank before unstable ones,
     whose rank is raised by ``offset``, more than any count; then by count,
@@ -456,20 +445,14 @@ def _inf_scan(levels, size, zlo, zhi, cap, offset):
     reaches that floor: a later window could only tie it, and ties go to
     the earlier window.
     """
-    dim = len(zlo)
-    if dim == 1:
-        blocks = _line_blocks(levels, size, zlo[0], zhi[0])
+    centers = [_center_blocks(u, size, lo, hi) for u, lo, hi in zip(merged, zlo, zhi)]
+    if len(merged) == 1:
+        table, prefs = levels
+        ends = ((c, [_cut(merged[0], table, c, size, side) for side in ("left", "right")])
+                for c in centers[0])
+        blocks = (((c,), [pref[hi] - pref[lo] for pref in prefs]) for c, (lo, hi) in ends)
     else:
-        # the break arrays are freed axis by axis
-        half = (-size / 2, size / 2)
-        centers = [
-            _candidate_centers(
-                np.concatenate([q.points[:, a] + h for q, _, _ in levels for h in half]),
-                zlo[a],
-                zhi[a],
-            )
-            for a in range(dim)
-        ]
+        centers = [np.concatenate(list(axis)) for axis in centers]
         windows = math.prod(map(len, centers))
         if windows > cap:
             raise BudgetExceeded(f"{windows} candidate windows at size {size:g} exceed cap {cap}")
@@ -508,10 +491,12 @@ def lower_density_profile(
     reported untrusted.  Sizes exceeding the box are skipped, and a size
     whose volume underflows to 0 or overflows raises ``ValueError``.
 
-    In 1-D both levels are scanned together over their merged coordinates
-    (``_merged_line``), built once for all sizes with their rank table when
-    they qualify for one, and each size's candidate centres are built and
-    counted block by block.  In 2-D each level keeps its own slab sweep;
+    The distinct coordinates of both levels are merged once per axis for
+    all sizes, and each size builds its candidate centres from them block
+    by block (``_center_blocks``).  In 1-D both levels are scanned together
+    over the merged coordinates, with their rank table when they qualify
+    for one (``_merged_line``), and each block is counted as it comes.  In
+    2-D each level keeps its own slab sweep, which takes every block first:
     the candidate windows of one size grow with the square of the set
     (about 6.7 n^2 on an irrational set), so a size with more than ``cap``
     of them raises ``BudgetExceeded`` before its sweep.  In 1-D they grow
@@ -525,8 +510,9 @@ def lower_density_profile(
     volumes = _window_volumes(schedule, dim)
     radius = np.max(np.abs(pts.points), axis=0)
     sets = [q for q in (pts, next_level_pts) if q is not None]
+    merged = [_distinct(np.concatenate([q.points[:, a] for q in sets])) for a in range(dim)]
     if dim == 1:
-        levels = _merged_line(sets)
+        levels = _merged_line(merged[0], sets)
     else:
         levels = [(q, *np.unique(q.points[:, -1], return_inverse=True)) for q in sets]
     entries = []
@@ -534,7 +520,7 @@ def lower_density_profile(
         if np.any(2 * radius < size):
             continue
         count, center, trusted = _inf_scan(
-            levels, size, -radius + size / 2, radius - size / 2, cap, pts.total_mass + 1
+            merged, levels, size, -radius + size / 2, radius - size / 2, cap, pts.total_mass + 1
         )
         entries.append(
             WindowEntry(

@@ -58,6 +58,8 @@ class WeightedPointSet:
             raise ValueError("points must be a 1-D or 2-D array")
         if pts.shape[0] == 0:
             raise EmptyPointSet("a weighted point set needs at least one point")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("point coordinates must be finite")
         if weights is None:
             w = np.ones(len(pts), dtype=np.int64)
         else:

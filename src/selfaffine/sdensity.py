@@ -308,8 +308,8 @@ def check_renormalization(
     sigma(B^-N W) = m^-N * sum over level-N expansion points p of
     sigma(W - p), counted with multiplicity.  Both sides are estimated on
     the same sample; ``stderr`` is the paired standard error of their
-    difference.  ``window`` is an axis box given as (lo, hi) vectors (plain
-    floats in dimension 1).
+    difference.  ``window`` is an axis box given as (lo, hi) vectors of
+    finite bounds, one per axis (plain floats in dimension 1).
 
     For a fixed p, x -> fl(x + p) is monotone on each axis, so the shifted
     per-axis extremes of the sample bound every shifted sample.  A point
@@ -329,6 +329,10 @@ def check_renormalization(
     lo, hi = window
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    if lo.shape != (pair.dim,) or hi.shape != (pair.dim,):
+        raise DimensionMismatch(f"window bounds need one value per axis of the {pair.dim}-D pair")
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise ValueError("window bounds must be finite")
     if np.any(hi <= lo):
         raise ValueError("window must have positive extent on every axis")
 

@@ -17,6 +17,9 @@
   bounds settle the test).
 * ``dominance_anchor_by_anchor``: the translation-dominance loop, one binary
   search per anchor (``cantor._dominance_scan`` scans blocks of anchors).
+* ``_candidate_centers``: a lower scan's candidate centres on one axis, all
+  at once from every point's breaks (``beurling._center_blocks`` builds
+  them block by block from the distinct coordinates).
 
 Only the names, and the wrapping of two signatures, differ from the
 originals: ``dominance_anchor_by_anchor`` takes the coordinates and prefix
@@ -267,3 +270,16 @@ def dominance_anchor_by_anchor(xs: np.ndarray, pref: np.ndarray):
             j = int(bad[0])
             return False, (float(xs[i]), float(xs[i + j]))
     return True, None
+
+
+def _candidate_centers(breaks: np.ndarray, zlo: float, zhi: float) -> np.ndarray:
+    """Midpoints of the cells cut by ``breaks`` in [zlo, zhi], plus both ends, for a 2-D scan.
+
+    The breaks arrive as a few runs, each sorted when its coordinates are
+    (x in canonical order), which a stable sort merges in linear time.
+    """
+    inner = np.sort(breaks[(breaks > zlo) & (breaks < zhi)], kind="stable")
+    first = np.ones(len(inner), dtype=bool)
+    first[1:] = inner[1:] != inner[:-1]
+    grid = np.concatenate([[zlo], inner[first], [zhi]])
+    return np.concatenate([[zlo], (grid[:-1] + grid[1:]) / 2.0, [zhi]])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import rank_table_by_counting
+from oracles import _candidate_centers, rank_table_by_counting
 
 from selfaffine import (
     BudgetExceeded,
@@ -30,7 +30,7 @@ from selfaffine import (
     validate_pair,
 )
 from selfaffine import beurling
-from selfaffine.beurling import BOUNDARY_TOL, _candidate_centers
+from selfaffine.beurling import BOUNDARY_TOL
 from selfaffine.pointset import _interval_counts, _prefix_sums
 
 TOL = 1e-12  # closed-window boundary tolerance, relative to window size
@@ -190,6 +190,12 @@ def test_schedule_validation():
         WindowSchedule((2.0, 1.0))
     with pytest.raises(ValueError):
         WindowSchedule((-1.0, 1.0))
+
+
+@pytest.mark.parametrize("sizes", [(math.nan,), (1.0, math.nan), (1.0, math.inf), (math.inf,)])
+def test_schedule_refuses_non_finite_sizes(sizes):
+    with pytest.raises(ValueError, match="window sizes must be finite"):
+        WindowSchedule(sizes)
 
 
 def test_lower_without_next_level_is_untrusted():
@@ -445,11 +451,12 @@ def window_edges(draw, coords, sizes):
 
 
 @settings(max_examples=300, deadline=None)
-@given(window_cases(), st.integers(1, 64))
-def test_blocked_sweep_equals_slab_loops(case, cells):
+@given(window_cases(), st.integers(1, 4), st.integers(1, 64))
+def test_blocked_sweep_equals_slab_loops(case, first, cells):
     pts, nxt, schedule = case
     with pytest.MonkeyPatch.context() as mp:
-        # a few counts per block, so one scan spans many blocks
+        # a few centres and counts per block, so one scan spans many blocks
+        mp.setattr(beurling, "_FIRST_LINE_BLOCK", first)
         mp.setattr(beurling, "_SCAN_CELLS", cells)
         got = sweep_profiles(pts, schedule, nxt, level=3)
     assert got == loop_profiles(pts, schedule, nxt, level=3)
@@ -635,15 +642,37 @@ def test_lower_1d_scan_that_stops_early_allocates_little(doubling_pair):
     assert peak <= 7 * 2**20
 
 
+def test_lower_2d_scan_memory_is_bounded(twin_dragon_pair):
+    pts, nxt = expand_level(twin_dragon_pair, 16), expand_level(twin_dragon_pair, 17)
+    schedule = natural_schedule(pts)
+    lower_density_profile(pts, schedule, nxt)  # warm-up: first-call allocations are not the scan's
+    tracemalloc.start()
+    try:
+        lower_density_profile(pts, schedule, nxt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 10.5 MiB when every size sorted the breaks of all points of both levels
+    assert peak <= 7 * 2**20
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.sampled_from([-2.0, -0.5, 0.0, 0.25, 1.0, 3.0, 1e-12]), max_size=40),
-       st.floats(-3, 0), st.floats(0, 3))
-def test_candidate_centers_dedupe_like_unique(breaks, zlo, zhi):
-    breaks = np.array(breaks)
+@given(st.lists(st.sampled_from([-2.0, -0.5, 0.0, 0.25, 1.0, 3.0, 1e-12]), min_size=1,
+                max_size=40),
+       st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 4.0]), st.floats(-3, 0), st.floats(0, 3),
+       st.integers(1, 4))
+def test_candidate_centers_dedupe_like_unique(coords, size, zlo, zhi, first):
+    # the sizes put low breaks u - size/2 on high breaks u' + size/2, and
+    # blocks of a few low breaks put such ties on block cuts
+    u = np.unique(coords)
+    breaks = np.concatenate([u - size / 2, u + size / 2])
     inner = np.unique(breaks[(breaks > zlo) & (breaks < zhi)])
     grid = np.concatenate([[zlo], inner, [zhi]])
     want = np.concatenate([[zlo], (grid[:-1] + grid[1:]) / 2.0, [zhi]])
-    assert np.array_equal(_candidate_centers(breaks, zlo, zhi), want)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(beurling, "_FIRST_LINE_BLOCK", first)
+        got = np.concatenate(list(beurling._center_blocks(u, size, zlo, zhi)))
+    assert np.array_equal(got, want)
 
 
 def test_window_volume_out_of_float_range_is_refused():
@@ -720,7 +749,9 @@ def test_rank_table_limit():
 def test_rank_table_selection(doubling_pair, cantor_pair_32):
     line = expand_level(doubling_pair, 16).points[:, 0]
     assert beurling._rank_table(line) is not None
-    u, table, _ = beurling._merged_line([expand_level(doubling_pair, k) for k in (16, 17)])
+    sets = [expand_level(doubling_pair, k) for k in (16, 17)]
+    u = np.unique(np.concatenate([q.points[:, 0] for q in sets]))
+    table, _ = beurling._merged_line(u, sets)
     assert table is not None and len(table) == u[-1] - u[0] + 2
     # the Cantor set spans about 650 times its count
     assert beurling._rank_table(expand_level(cantor_pair_32, 8).points[:, 0]) is None

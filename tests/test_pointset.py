@@ -127,6 +127,13 @@ def test_huge_coordinates_rejected():
         WeightedPointSet([5.0e9])
 
 
+@pytest.mark.parametrize("points", [[0.0, np.nan, 1.0], [[0.0, 1.0], [np.inf, 0.0]], [-np.inf]])
+def test_non_finite_coordinates_rejected(points):
+    # a NaN passes the merge-scale test, and its merge key would be garbage
+    with pytest.raises(ValueError, match="point coordinates must be finite"):
+        WeightedPointSet(points)
+
+
 @given(
     st.lists(
         st.integers(min_value=-50, max_value=50), min_size=1, max_size=40

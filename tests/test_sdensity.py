@@ -355,6 +355,21 @@ def test_renorm_2d(twin_dragon_pair):
     assert abs(check.lhs - check.rhs) <= 3 * max(check.stderr, 1e-6)
 
 
+@pytest.mark.parametrize("window", [(0.0, 0.5), ([0.0, 0.0, 0.0], [0.5, 0.5, 0.5]),
+                                    ([0.0, 0.0], 0.5), ([[0.0, 0.0]], [[0.5, 0.5]])])
+def test_renorm_refuses_a_window_of_another_dimension(twin_dragon_pair, window):
+    sample = sample_self_similar_measure(twin_dragon_pair, 100, seed=24)
+    with pytest.raises(DimensionMismatch, match="one value per axis of the 2-D pair"):
+        check_renormalization(twin_dragon_pair, window, 1, sample)
+
+
+@pytest.mark.parametrize("window", [(math.nan, 0.5), (0.0, math.inf), (-math.inf, 0.5)])
+def test_renorm_refuses_a_non_finite_window(cantor_pair_32, window):
+    sample = sample_self_similar_measure(cantor_pair_32, 100, seed=24)
+    with pytest.raises(ValueError, match="window bounds must be finite"):
+        check_renormalization(cantor_pair_32, window, 1, sample)
+
+
 def test_smoothing_changes_profile_little(cantor_pair_32):
     # statistical convolution-invariance: smooth mu_k by sigma samples and
     # compare the largest-threshold sup
