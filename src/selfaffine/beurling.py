@@ -11,30 +11,28 @@ Finite truncations under-count the infinite expansion far from the origin.
 A lower-scan window is therefore only *trusted* when the next level assigns
 it the same count; untrusted entries are reported but carry trusted=False.
 
-1-D scans read a sorted line with its rank table, and 2-D scans sweep
-slabs.  A 1-D window's count is a difference of prefix weights at its two
-edges, each found by one search of the sorted coordinates (a rank-table
-read or a binary search, see below).  In 2-D, in canonical (lexicographic)
-order the points whose x lies in the window form a slab, a contiguous run
-of rows, and as the window moves right both ends of the run only
-advance.  One sliding-slab sweep therefore keeps each slab's
-weight per distinct y value up to date from the points entering and
-leaving, a block of slabs at a time, and a cumulative sum along y turns a
-block into window counts.  Counts are integers throughout and every
-boundary test is the float comparison a per-slab scan makes, so results,
-ties included, are exactly those of scanning slab by slab.
+All four scans, upper and lower in 1-D and 2-D, have one skeleton: each
+size's candidate windows come in blocks, a block being a grid of windows
+(their coordinates along each axis) with one rank per window, and one
+selection rule (``_first_least``) takes the first window of least rank in
+row-major order.  An upper window has its lower corner at a point and
+ranks by its negated count.  A lower window is centred in a cell and ranks
+by its count, raised above every count when the next level disagrees; its
+scan stops at the first block that reaches the least rank any window can
+have, since later windows could only tie it.
 
-In 1-D the lower scan searches a level and its next level together: one
-sorted array holds the distinct coordinates of both, each level keeps its
-prefix weights over that array, and one pair of searches per candidate
-centre serves both levels.  Both dimensions build each axis's candidate
-centres with one generator, block by block, from the distinct coordinates
-of both levels.  The 2-D scan takes every block before its sweep, whose
-budget counts the windows first, and keeps one sweep per level, because a
-merged sweep would widen each level's histogram to the y values of both
-sets.  Every lower scan stops at the first window of the least rank any
-window can have (a stable empty window, or without a next level an empty
-one), since later windows could only tie it.
+A 1-D window's count is a difference of prefix weights at its two edges,
+each found by one search of the sorted coordinates (a rank-table read or a
+binary search, see below); the lower scan searches the merged coordinates
+of a level and its next level once for both.  In 2-D, in canonical
+(lexicographic) order the points whose x lies in the window form a slab, a
+contiguous run of rows, and as the window moves right both ends of the run
+only advance.  One sliding-slab sweep per set (``_slab_sweeps``) therefore
+keeps each slab's weight per distinct y value up to date from the points
+entering and leaving, a block of slabs at a time, and a cumulative sum
+along y turns a block into window counts.  Counts are integers throughout
+and every boundary test is the float comparison a per-slab scan makes, so
+results, ties included, are exactly those of scanning slab by slab.
 
 A 1-D scan whose sorted coordinates are integers, all below 2**52 in
 magnitude, on a span of at most ``_TABLE_SPAN`` times their count (the
@@ -96,8 +94,12 @@ class WindowSchedule:
     def geometric(cls, start: float, stop: float, count: int) -> "WindowSchedule":
         if count < 1:
             raise ValueError("count must be at least 1")
+        if not start > 0:
+            raise ValueError("start must be positive")
         if count == 1:
             return cls((float(stop),))
+        if not stop > 0:
+            raise ValueError("stop must be positive")
         ratio = (stop / start) ** (1.0 / (count - 1))
         sizes = [start * ratio**i for i in range(count - 1)] + [float(stop)]
         return cls(tuple(sizes))
@@ -231,47 +233,68 @@ def _slab_prefixes(q: WeightedPointSet, ranks, ny: int, lo, hi, rows: int):
         yield a, pref
 
 
-def _line_sup(xs, table, pref, size: float):
-    """Largest weight of a 1-D window [x, x + size] at a point x, and the window centre.
+def _slab_sweeps(ranked, cuts, ncol: int):
+    """The slab sweeps (``_slab_prefixes``) of 2-D sets over the same slabs, a block at a time.
 
-    ``xs`` are the sorted coordinates, ``table`` their rank table or None
-    (``_search``), and ``pref`` their prefix weights.  Ties go to the
-    smallest x.
+    ``ranked`` holds (set, distinct y, y-ranks) and ``cuts`` the (lo, hi)
+    rows per slab of each set.  A block holds at most ``_SCAN_CELLS``
+    counts beyond a single slab, of ``ncol`` counts or the widest y-prefix.
+    Yields (a, prefs): the block's first slab and each set's prefixes.
     """
-    counts = pref[_search(xs, table, xs + (size + BOUNDARY_TOL * size), "right")] - pref[:-1]
-    k = int(np.argmax(counts))
-    return int(counts[k]), (float(xs[k] + size / 2),)
+    rows = max(1, _SCAN_CELLS // max(ncol, *(len(yu) + 1 for _, yu, _ in ranked)))
+    sweeps = [_slab_prefixes(q, ranks, len(yu), lo, hi, rows)
+              for (q, yu, ranks), (lo, hi) in zip(ranked, cuts)]
+    for blocks in zip(*sweeps):
+        yield blocks[0][0], [pref for _, pref in blocks]
 
 
-def _sup_scan(pts: WeightedPointSet, size: float, yu, ranks):
-    """Largest weight of a 2-D window with its lower corner at a point, and the window centre.
+def _first_least(blocks, floor=None):
+    """The least rank over blocks of candidate windows, and the first window that has it.
 
-    Each distinct corner x cuts the slab of points with x in [x, x + size].
-    The window slides along y with its lower edge at each y of the slab, so
-    the slabs' box counts are read off one blocked sweep
-    (``_slab_prefixes``, at most ``_SCAN_CELLS`` counts per block beyond a
-    single slab) at the y-ranks present in each slab; ``yu`` are the
-    distinct y values and ``ranks`` each point's index among them.  Ties go
-    to the first slab in increasing x, then to the smallest y.
+    A block is (axes, rank): the windows' coordinates along each axis and
+    their ranks in an array shaped by the axes, in row-major scan order
+    within and across blocks, so ties go to the earlier window.  ``floor``
+    is a rank no window goes below: the scan stops at the first block that
+    reaches it, as later windows could only tie, and with None never stops.
+    """
+    best = None
+    for axes, rank in blocks:
+        k = int(np.argmin(rank))
+        if best is None or rank.flat[k] < best[0]:
+            at = np.unravel_index(k, rank.shape)
+            best = (int(rank.flat[k]), tuple(float(c[t]) for c, t in zip(axes, at)))
+            if best[0] == floor:
+                break
+    return best
+
+
+def _sup_blocks(pts: WeightedPointSet, levels, size: float):
+    """Candidate windows of an upper scan, lower corners at the points, ranked by negated count.
+
+    In 1-D ``levels`` is the rank table of the sorted coordinates or None
+    (``_search``) and their prefix weights, and one block holds every
+    corner.  In 2-D it is [(set, distinct y, y-ranks)]: each distinct
+    corner x cuts the slab of points with x in [x, x + size], and the
+    window slides along y with its lower edge at each distinct y.  The axes
+    are the corners, so ties go to the smallest x, then the smallest y.
     """
     tol = BOUNDARY_TOL * size
     xs = pts.points[:, 0]
+    if pts.dim == 1:
+        table, pref = levels
+        yield (xs,), pref[:-1] - pref[_search(xs, table, xs + (size + tol), "right")]
+        return
+    yu = levels[0][1]
     lo = np.flatnonzero(np.concatenate([[True], xs[1:] != xs[:-1]]))
-    hi = np.searchsorted(xs, xs[lo] + (size + tol), side="right")
+    corners = xs[lo]
+    hi = np.searchsorted(xs, corners + (size + tol), side="right")
     top = np.searchsorted(yu, yu + (size + tol), side="right")
-    ny = len(yu)
-    best, at = -1, None
-    for a, pref in _slab_prefixes(pts, ranks, ny, lo, hi, max(1, _SCAN_CELLS // (ny + 1))):
-        counts = pref[:, top] - pref[:, :-1]
-        # a y-rank absent from the slab is no corner there: it counts 0,
-        # below every corner, which counts at least its own weight
-        counts *= pref[:, 1:] != pref[:, :-1]
-        k = int(np.argmax(counts))
-        if counts.flat[k] > best:
-            best = int(counts.flat[k])
-            at = (a + k // ny, k % ny)
-    i, r = at
-    return best, (float(xs[lo[i]] + size / 2), float(yu[r] + size / 2))
+    for a, (pref,) in _slab_sweeps(levels, [(lo, hi)], len(yu)):
+        rank = pref[:, :-1] - pref[:, top]
+        # a y-rank absent from the slab is no corner there: it ranks 0,
+        # above every corner, which counts at least its own weight
+        rank *= pref[:, 1:] != pref[:, :-1]
+        yield (corners[a : a + len(rank)], yu), rank
 
 
 def _window_volumes(schedule: WindowSchedule, dim: int) -> list[float]:
@@ -292,6 +315,16 @@ def _window_volumes(schedule: WindowSchedule, dim: int) -> list[float]:
     return volumes
 
 
+def _profile(pts: WeightedPointSet, schedule: WindowSchedule, level, entry) -> DensityEstimate:
+    """The profile of ``entry(size, volume)`` per size, skipping sizes for which it returns None.
+
+    Every size's volume is checked (``_window_volumes``) before any scan.
+    """
+    entries = map(entry, schedule.sizes, _window_volumes(schedule, pts.dim))
+    return DensityEstimate(dim=pts.dim, entries=tuple(e for e in entries if e is not None),
+                           level=level, max_multiplicity=int(pts.weights.max()))
+
+
 def upper_density_profile(
     pts: WeightedPointSet,
     schedule: WindowSchedule,
@@ -301,33 +334,21 @@ def upper_density_profile(
 
     Ties in the argmax go to the lexicographically smallest window corner.
     A size whose volume underflows to 0 or overflows raises ``ValueError``.
-    A 1-D set's coordinates, their rank table and prefix weights, and a
-    2-D set's distinct y values and y-ranks, are built once for all sizes.
+    A 1-D set's rank table and prefix weights, and a 2-D set's distinct y
+    values and y-ranks, are built once for all sizes.
     """
     dim = _require_dim(pts, "upper_density_profile")
-    volumes = _window_volumes(schedule, dim)
     if dim == 1:
-        xs = pts.points[:, 0]
-        line = (xs, _rank_table(xs), _prefix_sums(pts.weights))
+        levels = (_rank_table(pts.points[:, 0]), _prefix_sums(pts.weights))
     else:
-        yu, ranks = np.unique(pts.points[:, -1], return_inverse=True)
-    entries = []
-    for size, volume in zip(schedule.sizes, volumes):
-        count, center = _line_sup(*line, size) if dim == 1 else _sup_scan(pts, size, yu, ranks)
-        entries.append(
-            WindowEntry(
-                size=size,
-                sup_count=count,
-                sup_value=count / volume,
-                argmax_center=center,
-            )
-        )
-    return DensityEstimate(
-        dim=dim,
-        entries=tuple(entries),
-        level=level,
-        max_multiplicity=int(pts.weights.max()),
-    )
+        levels = [(pts, *np.unique(pts.points[:, -1], return_inverse=True))]
+
+    def entry(size, volume):
+        rank, corner = _first_least(_sup_blocks(pts, levels, size))
+        return WindowEntry(size=size, sup_count=-rank, sup_value=-rank / volume,
+                           argmax_center=tuple(x + size / 2 for x in corner))
+
+    return _profile(pts, schedule, level, entry)
 
 
 def _distinct(values):
@@ -352,15 +373,15 @@ def _merged_line(u, sets):
     return table, prefs
 
 
-def _cut(values, table, centers, size, side):
-    """Per centre, the sorted values below its window's low edge (left) or up to its high edge.
+def _cut(values, table, centers, size):
+    """Per centre, the sorted values below its window's low edge, and those up to its high edge.
 
     The edges are looked up in ``table``, the rank table of ``values``,
     when there is one, and binary-searched otherwise (``_search``).
     """
     tol = BOUNDARY_TOL * size
-    edge = centers - size / 2 - tol if side == "left" else centers + size / 2 + tol
-    return _search(values, table, edge, side)
+    return (_search(values, table, centers - size / 2 - tol, "left"),
+            _search(values, table, centers + size / 2 + tol, "right"))
 
 
 def _center_blocks(u, size, zlo, zhi):
@@ -397,28 +418,14 @@ def _center_blocks(u, size, zlo, zhi):
         step = min(2 * step, _SCAN_CELLS)
 
 
-def _slab_counts(ranked, size, centers):
-    """Each level's counts at the candidate cells of a 2-D scan, a block of x centres at a time."""
-    ncol = len(centers[-1])
-    rows = max(1, _SCAN_CELLS // max(ncol, *(len(yu) + 1 for _, yu, _ in ranked)))
-    sweeps, edges = [], []
-    for q, yu, ranks in ranked:
-        lo, hi = (_cut(q.points[:, 0], None, centers[0], size, side) for side in ("left", "right"))
-        sweeps.append(_slab_prefixes(q, ranks, len(yu), lo, hi, rows))
-        edges.append([_cut(yu, None, centers[-1], size, side) for side in ("left", "right")])
-    for blocks in zip(*sweeps):
-        a = blocks[0][0]
-        counts = [pref[:, top] - pref[:, bottom] for (_, pref), (bottom, top) in zip(blocks, edges)]
-        yield (centers[0][a : a + len(counts[0])], centers[-1]), counts
+def _inf_blocks(merged, levels, size, radius, cap, offset):
+    """Candidate windows of a lower scan, ranked by count and stability.
 
-
-def _inf_scan(merged, levels, size, zlo, zhi, cap, offset):
-    """Least window count over the candidate centres, preferring stable windows.
-
-    Window edges that put a point on the boundary cut each axis into cells,
-    and a cell's midpoint is a candidate centre.  ``merged`` holds each
-    axis's distinct coordinates over the level and, when given, its next
-    level, from which ``_center_blocks`` builds the axis's centres.
+    Window edges that put a point on the boundary cut each axis's range of
+    centres, within radius - size/2 of 0, into cells, and a cell's midpoint
+    is a candidate centre.  ``merged`` holds each axis's distinct
+    coordinates over the level and, when given, its next level, from which
+    ``_center_blocks`` builds the axis's centres.
 
     In 1-D ``levels`` is the rank table of the merged coordinates and each
     level's prefix weights over them (``_merged_line``).  The centres are
@@ -431,45 +438,33 @@ def _inf_scan(merged, levels, size, zlo, zhi, cap, offset):
     block of both axes is taken before the sweep, since more than ``cap``
     candidate windows at this size raise ``BudgetExceeded`` before it.  The
     last axis is scanned along the slab of points whose x lies in the
-    window, one per candidate x.  Each set's slabs are read off its own
-    blocked sweep (``_slab_prefixes``), and the sweeps advance block by
-    block over the same candidate x, at most ``_SCAN_CELLS`` counts per
-    block beyond a single line.  The levels keep separate sweeps because a
-    merged sweep would widen the level's histogram to the y values of both.
+    window, one per candidate x, off one sweep per level (``_slab_sweeps``),
+    as a merged sweep would widen each histogram to the y values of both.
 
-    Stable windows (same count at both levels) rank before unstable ones,
-    whose rank is raised by ``offset``, more than any count; then by count,
-    then first in row-major order (x centre, then y centre).  No window
-    ranks below 0 with a next level, or below ``offset`` without one (every
-    window is then unstable), so the scan stops at the first block that
-    reaches that floor: a later window could only tie it, and ties go to
-    the earlier window.
+    A window's rank is its count at the level, raised by ``offset``, more
+    than any count, unless it is stable (the next level gives the same
+    count); without a next level no window is stable.  So
+    ``divmod(rank, offset)`` is (unstable, count).
     """
-    centers = [_center_blocks(u, size, lo, hi) for u, lo, hi in zip(merged, zlo, zhi)]
+    centers = [_center_blocks(u, size, -r + size / 2, r - size / 2) for u, r in zip(merged, radius)]
     if len(merged) == 1:
         table, prefs = levels
-        ends = ((c, [_cut(merged[0], table, c, size, side) for side in ("left", "right")])
-                for c in centers[0])
+        ends = ((c, _cut(merged[0], table, c, size)) for c in centers[0])
         blocks = (((c,), [pref[hi] - pref[lo] for pref in prefs]) for c, (lo, hi) in ends)
     else:
         centers = [np.concatenate(list(axis)) for axis in centers]
         windows = math.prod(map(len, centers))
         if windows > cap:
             raise BudgetExceeded(f"{windows} candidate windows at size {size:g} exceed cap {cap}")
-        blocks = _slab_counts(levels, size, centers)
-    best = None
+        cuts = [_cut(q.points[:, 0], None, centers[0], size) for q, _, _ in levels]
+        edges = [_cut(yu, None, centers[-1], size) for _, yu, _ in levels]
+        sweeps = _slab_sweeps(levels, cuts, len(centers[-1]))
+        blocks = (((centers[0][a : a + len(prefs[0])], centers[-1]),
+                   [pref[:, hi] - pref[:, lo] for pref, (lo, hi) in zip(prefs, edges)])
+                  for a, prefs in sweeps)
     for axes, counts in blocks:
-        stable = counts[0] == counts[1] if len(counts) == 2 else np.zeros(counts[0].shape, bool)
-        rank = np.where(stable, counts[0], counts[0] + offset)
-        floor = 0 if len(counts) == 2 else offset
-        k = int(np.argmin(rank))
-        if best is None or rank.flat[k] < best[0]:
-            at = np.unravel_index(k, rank.shape)
-            center = tuple(float(c[t]) for c, t in zip(axes, at))
-            best = (rank.flat[k], int(counts[0].flat[k]), center, bool(stable.flat[k]))
-            if best[0] == floor:
-                break
-    return best[1:]
+        unstable = counts[0] != counts[1] if len(counts) == 2 else True
+        yield axes, counts[0] + offset * unstable
 
 
 def lower_density_profile(
@@ -494,20 +489,17 @@ def lower_density_profile(
     The distinct coordinates of both levels are merged once per axis for
     all sizes, and each size builds its candidate centres from them block
     by block (``_center_blocks``).  In 1-D both levels are scanned together
-    over the merged coordinates, with their rank table when they qualify
-    for one (``_merged_line``), and each block is counted as it comes.  In
-    2-D each level keeps its own slab sweep, which takes every block first:
-    the candidate windows of one size grow with the square of the set
-    (about 6.7 n^2 on an irrational set), so a size with more than ``cap``
-    of them raises ``BudgetExceeded`` before its sweep.  In 1-D they grow
-    linearly.  A size's scan stops at the first window of the least
-    possible rank (``_inf_scan``), so a one-sided support whose box starts
-    with a stable empty window costs one small block per size.
+    over the merged coordinates (``_merged_line``).  In 2-D the candidate
+    windows of one size grow with the square of the set (about 6.7 n^2 on
+    an irrational set), so a size with more than ``cap`` of them raises
+    ``BudgetExceeded`` before its sweep; in 1-D they grow linearly.  No
+    window ranks below 0 with a next level, or below the offset without one
+    (``_inf_blocks``), so a one-sided support whose box starts with a
+    stable empty window costs one small block per size.
     """
     dim = _require_dim(pts, "lower_density_profile")
     if next_level_pts is not None and next_level_pts.dim != dim:
         raise UnsupportedDimension("next_level_pts dimension differs")
-    volumes = _window_volumes(schedule, dim)
     radius = np.max(np.abs(pts.points), axis=0)
     sets = [q for q in (pts, next_level_pts) if q is not None]
     merged = [_distinct(np.concatenate([q.points[:, a] for q in sets])) for a in range(dim)]
@@ -515,28 +507,18 @@ def lower_density_profile(
         levels = _merged_line(merged[0], sets)
     else:
         levels = [(q, *np.unique(q.points[:, -1], return_inverse=True)) for q in sets]
-    entries = []
-    for size, volume in zip(schedule.sizes, volumes):
+    offset = pts.total_mass + 1
+    floor = 0 if next_level_pts is not None else offset
+
+    def entry(size, volume):
         if np.any(2 * radius < size):
-            continue
-        count, center, trusted = _inf_scan(
-            merged, levels, size, -radius + size / 2, radius - size / 2, cap, pts.total_mass + 1
-        )
-        entries.append(
-            WindowEntry(
-                size=size,
-                inf_count=count,
-                inf_value=count / volume,
-                argmin_center=center,
-                trusted=trusted,
-            )
-        )
-    return DensityEstimate(
-        dim=dim,
-        entries=tuple(entries),
-        level=level,
-        max_multiplicity=int(pts.weights.max()),
-    )
+            return None
+        rank, center = _first_least(_inf_blocks(merged, levels, size, radius, cap, offset), floor)
+        unstable, count = divmod(rank, offset)
+        return WindowEntry(size=size, inf_count=count, inf_value=count / volume,
+                           argmin_center=center, trusted=not unstable)
+
+    return _profile(pts, schedule, level, entry)
 
 
 def trend_divergent(values) -> bool:

@@ -18,9 +18,7 @@ from .beurling import _SCAN_CELLS, _rank_table, _search
 from .errors import InvalidCoefficient
 from .expansion import DEFAULT_CAP, expand_level
 from .pairs import SelfAffinePair, validate_pair
-from .pointset import prefix_weights, weight_in_interval
-
-_COUNT_TOL = 1e-9
+from .pointset import MERGE_TOL, prefix_weights, weight_in_interval
 
 
 @dataclass(frozen=True)
@@ -74,7 +72,7 @@ def interval_count(
     if b < a:
         raise ValueError("interval endpoints must satisfy a <= b")
     pts = expand_level(cp.pair(), k, cap)
-    return weight_in_interval(pts, a, b, tol=_COUNT_TOL)
+    return weight_in_interval(pts, a, b)
 
 
 def translation_dominance_check(cp: CantorPair, k: int, cap: int = DEFAULT_CAP):
@@ -98,7 +96,7 @@ def _dominance_scan(xs: np.ndarray, pref: np.ndarray, cap: int = DEFAULT_CAP):
     [a, b) by right ends [a, n).  A cell left of its anchor (j < i) counts
     pref[j + 1] - pref[i] <= 0 points, against a translate count of at least
     0, so it never flags and needs no mask.  The translate counts come from
-    ``_search`` over the same lengths + ``_COUNT_TOL`` as a per-anchor binary
+    ``_search`` over the same lengths + ``MERGE_TOL`` as a per-anchor binary
     search would use; integer coordinates read them off a rank table, which
     may span up to the n(n + 1)/2 lookups the scan makes but not beyond
     ``cap``, and every other set searches.  Both give the binary search's
@@ -111,7 +109,7 @@ def _dominance_scan(xs: np.ndarray, pref: np.ndarray, cap: int = DEFAULT_CAP):
     while a < n:
         b = min(n, a + max(1, _SCAN_CELLS // (n - a)))
         edges = xs[a:] - xs[a:b, None]
-        edges += _COUNT_TOL
+        edges += MERGE_TOL
         lhs = pref[a + 1 :] - pref[a:b, None]
         rhs = pref[_search(xs, table, edges, "right")]
         bad = lhs > rhs

@@ -393,6 +393,11 @@ def _cmd_renorm_check(args) -> str:
         )
     lo = np.array(vals[0::2])
     hi = np.array(vals[1::2])
+    if args.samples + args.burn_in > args.cap:
+        raise BudgetExceeded(
+            f"chaos game of {args.samples} samples after {args.burn_in} burn-in steps"
+            f" exceeds cap {args.cap}"
+        )
     sample = sample_self_similar_measure(pair, args.samples, args.seed, args.burn_in)
     check = check_renormalization(pair, (lo, hi), args.steps, sample, args.cap)
     diff = abs(check.lhs - check.rhs)

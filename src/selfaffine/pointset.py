@@ -67,6 +67,8 @@ class WeightedPointSet:
             if w.shape != (len(pts),):
                 raise ValueError("weights must match points one to one")
             if not np.issubdtype(w.dtype, np.integer):
+                if not np.all(np.isfinite(w)):
+                    raise ValueError("weights must be finite")
                 wi = np.round(w).astype(np.int64)
                 if np.max(np.abs(w - wi)) > 0:
                     raise ValueError("weights must be integers")

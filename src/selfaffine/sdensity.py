@@ -326,7 +326,10 @@ def check_renormalization(
     if sample.dim != pair.dim:
         raise DimensionMismatch("sample dimension differs from pair dimension")
     _check_budget(pair.m, n_steps, cap)
-    lo, hi = window
+    try:
+        lo, hi = window
+    except (TypeError, ValueError):
+        raise DimensionMismatch("window must be a (lo, hi) pair of bounds") from None
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
     if lo.shape != (pair.dim,) or hi.shape != (pair.dim,):

@@ -39,11 +39,10 @@ from selfaffine.attractor import (
     invariant_radius,
 )
 from selfaffine.beurling import _TABLE_SPAN
-from selfaffine.cantor import _COUNT_TOL
 from selfaffine.errors import DimensionMismatch, ResolutionTooSmall, UnsupportedDimension
 from selfaffine.expansion import DEFAULT_CAP, _check_budget, expand_level
 from selfaffine.pairs import SelfAffinePair
-from selfaffine.pointset import _MERGE_SCALE_ERROR, WeightedPointSet, _canonicalize
+from selfaffine.pointset import _MERGE_SCALE_ERROR, MERGE_TOL, WeightedPointSet, _canonicalize
 from selfaffine.sdensity import _BLOCK, MeasureSample, RenormCheck, _in_box
 
 
@@ -263,7 +262,7 @@ def dominance_anchor_by_anchor(xs: np.ndarray, pref: np.ndarray):
     for i in range(len(xs)):
         lengths = xs[i:] - xs[i]
         lhs = pref[i + 1 :] - pref[i]
-        hi = np.searchsorted(xs, lengths + _COUNT_TOL, side="right")
+        hi = np.searchsorted(xs, lengths + MERGE_TOL, side="right")
         rhs = pref[hi]
         bad = np.nonzero(lhs > rhs)[0]
         if len(bad):

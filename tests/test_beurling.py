@@ -198,6 +198,14 @@ def test_schedule_refuses_non_finite_sizes(sizes):
         WindowSchedule(sizes)
 
 
+@pytest.mark.parametrize("start, stop, bad", [(0.0, 4.0, "start"), (-1.0, 4.0, "start"),
+                                             (math.nan, 4.0, "start"), (1.0, -4.0, "stop")])
+def test_geometric_schedule_refuses_bounds_that_are_not_positive(start, stop, bad):
+    # the ratio would divide by zero, or be complex for a negative bound
+    with pytest.raises(ValueError, match=f"{bad} must be positive"):
+        WindowSchedule.geometric(start, stop, 3)
+
+
 def test_lower_without_next_level_is_untrusted():
     pts = WeightedPointSet(np.arange(8.0))
     prof = lower_density_profile(pts, WindowSchedule((2.0,)))

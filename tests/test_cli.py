@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from selfaffine import expansion, parse_pair_spec, render_pair_spec
+from selfaffine import cli, expansion, parse_pair_spec, render_pair_spec
 from selfaffine.cli import main
 
 DOUBLING = "dim 1\nmatrix\n2\ndigits\n0\n1\n"
@@ -397,6 +397,26 @@ def test_rendered_spec_runs_through_the_cli(pair_file):
     pair = parse_pair_spec(DRAGON)
     path = pair_file(render_pair_spec(pair), name="rendered.txt")
     assert run("expand", "--pair", path, "--level", "2").returncode == 0
+
+
+def test_renorm_check_refuses_a_chaos_game_beyond_cap_before_sampling(pair_file, monkeypatch,
+                                                                       capsys):
+    def sampled(*args):
+        raise AssertionError("the chaos game ran")
+
+    monkeypatch.setattr(cli, "sample_self_similar_measure", sampled)
+    path = pair_file(CANTOR)
+    window = ["--pair", path, "--window", "0,2", "--steps", "1", "--seed", "7"]
+    assert main(["renorm-check", *window, "--samples", "1000000000"]) == 1
+    assert main(["renorm-check", *window, "--samples", "100", "--cap", "163"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: chaos game of 1000000000 samples after 64 burn-in steps exceeds cap 16777216",
+        "error: chaos game of 100 samples after 64 burn-in steps exceeds cap 163",
+    ]
+    monkeypatch.undo()
+    assert main(["renorm-check", *window, "--samples", "100", "--cap", "164"]) == 0
 
 
 def test_raster_resolution_beyond_cap_is_domain_error(pair_file):

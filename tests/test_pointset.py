@@ -134,6 +134,13 @@ def test_non_finite_coordinates_rejected(points):
         WeightedPointSet(points)
 
 
+@pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf])
+def test_non_finite_weights_rejected(weight):
+    # an invalid cast to int64 would warn before the weights are checked
+    with pytest.raises(ValueError, match="weights must be finite"):
+        WeightedPointSet([0.0, 1.0], [1, weight])
+
+
 @given(
     st.lists(
         st.integers(min_value=-50, max_value=50), min_size=1, max_size=40

@@ -363,6 +363,13 @@ def test_renorm_refuses_a_window_of_another_dimension(twin_dragon_pair, window):
         check_renormalization(twin_dragon_pair, window, 1, sample)
 
 
+@pytest.mark.parametrize("window", [(0.0, 0.5, 1.0), 0.5, (0.5,)])
+def test_renorm_refuses_a_window_that_is_not_a_pair(cantor_pair_32, window):
+    sample = sample_self_similar_measure(cantor_pair_32, 100, seed=24)
+    with pytest.raises(DimensionMismatch, match="window must be a"):
+        check_renormalization(cantor_pair_32, window, 1, sample)
+
+
 @pytest.mark.parametrize("window", [(math.nan, 0.5), (0.0, math.inf), (-math.inf, 0.5)])
 def test_renorm_refuses_a_non_finite_window(cantor_pair_32, window):
     sample = sample_self_similar_measure(cantor_pair_32, 100, seed=24)
