@@ -18,7 +18,12 @@ from .beurling import _SCAN_CELLS, _rank_table, _search
 from .errors import InvalidCoefficient
 from .expansion import DEFAULT_CAP, expand_level
 from .pairs import SelfAffinePair, validate_pair
-from .pointset import MERGE_TOL, prefix_weights, weight_in_interval
+from .pointset import MERGE_TOL, _leaf_cells, _tile_search, prefix_weights, weight_in_interval
+
+
+#: Work the dominance scan may always do: a cap that admits a small level's
+#: mass, such as 2**8 at level 8, would refuse its scan of some 16,000 units.
+_MIN_BUDGET = 2**15
 
 
 @dataclass(frozen=True)
@@ -82,7 +87,8 @@ def translation_dominance_check(cp: CantorPair, k: int, cap: int = DEFAULT_CAP):
     every interval's count equals that of its minimal point-bounded shrink,
     so this family is exhaustive.  Returns (True, None) or (False, (a, b))
     with the first counterexample in scan order (``_dominance_scan``).
-    ``cap`` bounds the expansion's mass m**k and the scan's rank table.
+    ``cap`` bounds the expansion's mass m**k and the scan's rank table and
+    work (``_dominance_scan``).
     """
     pts = expand_level(cp.pair(), k, cap)
     return _dominance_scan(pts.coords(), prefix_weights(pts), cap)
@@ -91,33 +97,48 @@ def translation_dominance_check(cp: CantorPair, k: int, cap: int = DEFAULT_CAP):
 def _dominance_scan(xs: np.ndarray, pref: np.ndarray, cap: int = DEFAULT_CAP):
     """First interval [xs[i], xs[j]] whose count exceeds that of [0, xs[j] - xs[i]].
 
-    Scan order is by anchor i, then by right end j >= i.  The anchors go in
-    blocks of at most ``_SCAN_CELLS`` cells, each a rectangle of anchors
-    [a, b) by right ends [a, n).  A cell left of its anchor (j < i) counts
-    pref[j + 1] - pref[i] <= 0 points, against a translate count of at least
-    0, so it never flags and needs no mask.  The translate counts come from
-    ``_search`` over the same lengths + ``MERGE_TOL`` as a per-anchor binary
-    search would use; integer coordinates read them off a rank table, which
-    may span up to the n(n + 1)/2 lookups the scan makes but not beyond
-    ``cap``, and every other set searches.  Both give the binary search's
-    counts exactly, so the verdict and the witness are those of scanning
-    anchor by anchor.
+    Scan order is by anchor i, then by right end j >= i, and the cells go
+    through a tile search (``_tile_search``).  A tile of anchors [a0, a1)
+    by right ends [b0, b1) holds at most pref[b1] - pref[a0] points in any
+    cell, and every cell's translate holds at least as many as that of its
+    shortest length xs[b0] - xs[a1 - 1], since the count grows with the
+    length; a tile whose bound is within that is proven.  Tiles that come
+    after the least failing cell found so far are dropped too.  A leaf cell
+    left of its anchor (j < i) counts pref[j + 1] - pref[i] <= 0 points and
+    never fails.  Translate
+    counts come from ``_search`` over the lengths + ``MERGE_TOL`` that a
+    per-anchor binary search would use; integer coordinates read them off
+    a rank table, which may span up to the n(n + 1)/2 lookups of a full
+    scan but not beyond ``cap``, and every other set searches.  Both give
+    the binary search's counts exactly, so the verdict and the witness are
+    those of scanning anchor by anchor.  The search raises
+    ``BudgetExceeded`` before its tile bounds and leaf cells pass ``cap``,
+    or ``_MIN_BUDGET`` if that is more.
     """
     n = len(xs)
     table = _rank_table(xs, min(n * (n + 1) // 2, cap))
-    a = 0
-    while a < n:
-        b = min(n, a + max(1, _SCAN_CELLS // (n - a)))
-        edges = xs[a:] - xs[a:b, None]
-        edges += MERGE_TOL
-        lhs = pref[a + 1 :] - pref[a:b, None]
-        rhs = pref[_search(xs, table, edges, "right")]
-        bad = lhs > rhs
+    least = n * n  # the least failing cell so far, as i * n + j
+
+    def translate(lengths):
+        lengths += MERGE_TOL
+        return pref[_search(xs, table, lengths, "right")]
+
+    def drop(a0, a1, b0, b1):
+        later = a0 * n + b0 > least
+        return later | (pref[b1] - pref[a0] <= translate(xs[b0] - xs[a1 - 1]))
+
+    def leaves(a0, a1, b0, b1):
+        nonlocal least
+        i, j = _leaf_cells(a0, a1, b0, b1)
+        bad = pref[j + 1] - pref[i] > translate(xs[j] - xs[i])
         if bad.any():
-            i, j = divmod(int(bad.argmax()), n - a)
-            return False, (float(xs[a + i]), float(xs[a + j]))
-        a = b
-    return True, None
+            least = min(least, int((i * n + j)[bad].min()))
+
+    _tile_search(n, _SCAN_CELLS, drop, leaves, max(cap, _MIN_BUDGET), "dominance scan")
+    if least == n * n:
+        return True, None
+    i, j = divmod(least, n)
+    return False, (float(xs[i]), float(xs[j]))
 
 
 def cantor_sdensity_sequence(cp: CantorPair, m_max: int):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyPointSet
+from .errors import BudgetExceeded, DimensionMismatch, EmptyPointSet
 
 #: Two computed points closer than this (infinity norm) are the same point.
 MERGE_TOL = 1e-9
@@ -17,6 +17,9 @@ MERGE_TOL = 1e-9
 # Quantized merge keys must stay inside int64.
 _MAX_ABS_COORD = 4.0e9
 _MERGE_SCALE_ERROR = f"coordinate magnitude exceeds supported merge scale ({_MAX_ABS_COORD:g})"
+
+#: Anchors and right ends per side of a leaf tile of ``_tile_search``.
+_LEAF = 8
 
 
 def _canonicalize(points: np.ndarray, weights: np.ndarray):
@@ -172,3 +175,61 @@ def _interval_counts(xs: np.ndarray, pref: np.ndarray, lows, highs):
 def weight_in_interval(ps: WeightedPointSet, a: float, b: float, tol: float = MERGE_TOL) -> int:
     """Total weight in the closed interval [a, b] of a 1-D set."""
     return int(_interval_counts(ps.coords(), prefix_weights(ps), a - tol, b + tol))
+
+
+def _tile_search(n: int, cells: int, drop, leaves, limit: float, kernel: str) -> int:
+    """Visit the cells (i, j), j >= i, of an n x n table that ``drop`` cannot rule out.
+
+    A tile is anchors [a0, a1) by right ends [b0, b1), given as four index
+    arrays.  The search starts from one tile over the table and halves both
+    sides a level at a time.  ``drop(a0, a1, b0, b1)`` bounds a level's new
+    tiles and returns a mask of those that hold no cell the kernel needs;
+    leaf tiles, of side ``_LEAF``, go to ``leaves(a0, a1, b0, b1)``, which
+    evaluates their cells (``_leaf_cells``).  Tiles go in batches of at
+    most ``cells // _LEAF**2``, depth first and earliest anchors first, so a
+    batch of leaves holds at most ``cells`` cells.  One tile bound or one
+    leaf cell is one unit of work; before the work would pass ``limit`` the
+    search raises ``BudgetExceeded`` naming ``kernel``.  Returns the work.
+    """
+    side = _LEAF
+    while side < n:
+        side *= 2
+    stack = [(side, np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp))]
+    work = 0
+    while stack:
+        side, p, q = stack.pop()
+        split = side > _LEAF
+        if split:
+            side //= 2
+            p = (2 * p[:, None] + [0, 0, 1, 1]).ravel()
+            q = (2 * q[:, None] + [0, 1, 0, 1]).ravel()
+            # a tile past the table's end, or wholly left of its diagonal, holds no cell
+            inside = (q >= p) & (q * side < n)
+            p, q = p[inside], q[inside]
+        a0, b0 = p * side, q * side
+        a1, b1 = np.minimum(a0 + side, n), np.minimum(b0 + side, n)
+        work += len(p) if split else int(((a1 - a0) * (b1 - b0)).sum())
+        if work > limit:
+            raise BudgetExceeded(f"{kernel}: {work} tile bounds and leaf cells exceed cap {limit}")
+        if not split:
+            leaves(a0, a1, b0, b1)
+            continue
+        keep = ~drop(a0, a1, b0, b1)
+        order = np.lexsort((q[keep], p[keep]))
+        p, q = p[keep][order], q[keep][order]
+        step = max(1, cells // _LEAF**2)
+        stack.extend((side, p[k : k + step], q[k : k + step])
+                     for k in reversed(range(0, len(p), step)))
+    return work
+
+
+def _leaf_cells(a0, a1, b0, b1):
+    """Anchors (L, 1, k) and right ends (1, L, k) of the cells of k leaf tiles, L = ``_LEAF``.
+
+    The tiles lie along the last axis, so each step runs over all of them.
+    Past a1 or b1 a tile repeats its last anchor or right end, so every
+    cell is one of the tile's own.
+    """
+    step = np.arange(_LEAF)[:, None]
+    i, j = np.minimum(a0 + step, a1 - 1), np.minimum(b0 + step, b1 - 1)
+    return i[:, None], j[None]

@@ -12,18 +12,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beurling import _SCAN_CELLS, MeasureResult, _natural_ladder, _reciprocal_measure
-from .errors import DimensionMismatch, UnsupportedDimension
+from .errors import BudgetExceeded, DimensionMismatch, UnsupportedDimension
 from .expansion import DEFAULT_CAP, _check_budget, expand_level
 from .pairs import SelfAffinePair
 from .pointset import (
     WeightedPointSet,
     _canonicalize,
+    _leaf_cells,
+    _tile_search,
     prefix_weights,
     weight_in_interval,
 )
 
 #: Relative tolerance admitting intervals whose diameter sits at a threshold.
 THRESHOLD_TOL = 1e-12
+
+#: Relative slack on the power of a tile bound, against rounding in ``**``.
+_POW_SLACK = 1e-12
+
+#: The tile search gives way to the one-pass scan once its work passes this
+#: share of the cells that scan visits.
+_SEARCH_SHARE = 1 / 64
 
 
 @dataclass(frozen=True)
@@ -88,17 +97,15 @@ def upper_s_density_profile(
     is not positive, or so small that it admits an interval of length 0
     (some anchor plus r rounds back to the anchor), raises ``ValueError``.
 
-    One pass over the left endpoints (anchors) serves every threshold.  The
-    anchors are taken in blocks of at most ``_SCAN_CELLS`` interval values,
-    or of one anchor whose row alone is longer.  Each anchor's values are
-    computed once, over the right ends admissible at the smallest threshold,
-    and split into the runs of right ends that each larger threshold gives
-    up, so a suffix maximum over the runs is every threshold's best for that
-    anchor.  Anchor i and all later anchors are pruned for threshold r once
-    (mass of the points from i on) / r^s is at most that threshold's best so
-    far, since no interval starting there can exceed it; the scan ends when
-    every threshold is pruned.  Ties go to the earliest anchor and then to
-    the earliest right end.
+    A tile search over (anchor, right end) cells finds the sup
+    (``_tile_winners``).  Counted from ``j0`` before any work, the one-pass
+    scan (``_pass_winners``) would visit some number of cells; when the
+    search's work would pass ``_SEARCH_SHARE`` of them, as on near-tied
+    sets where bounds prune little, that scan runs instead.  A leaf cell
+    costs the search several times what a cell costs the scan, so the share
+    holds such a set to about a tenth more than the scan alone.  Both
+    evaluate a cell with the same float operations, and ties go to the
+    earliest anchor and then to the earliest right end.
     """
     if pts.dim != 1:
         raise UnsupportedDimension("s-density scan supports dimension 1 only")
@@ -109,10 +116,8 @@ def upper_s_density_profile(
         raise ValueError("thresholds must be positive")
     xs = pts.coords()
     pref = prefix_weights(pts)
-    total = pref[-1]
     n, T = len(xs), len(rs)
     r_adm = [r * (1.0 - THRESHOLD_TOL) for r in rs]
-    r_pow = np.array([r**s for r in r_adm])[:, None]
     # first admissible right end per threshold (rows) and anchor (columns)
     j0 = np.searchsorted(xs, xs + np.array(r_adm)[:, None], side="left")
     # a threshold below an anchor's float spacing admits the anchor itself
@@ -122,10 +127,122 @@ def upper_s_density_profile(
             f"threshold {rs[int(np.argmax(zero))]:g} admits an interval of length 0:"
             " it is below the float spacing of the coordinates"
         )
-    best = np.full(T, -np.inf)
-    winner = np.zeros(T, dtype=np.int64)
+    # the pass visits every right end admissible at the smallest threshold
+    visits = int((n - j0[:1]).sum())
+    try:
+        winner = _tile_winners(xs, pref, s, j0, visits * _SEARCH_SHARE)
+    except BudgetExceeded:
+        winner = _pass_winners(xs, pref, s, r_adm, j0)
+    entries = []
+    for t in np.flatnonzero(winner < n):
+        i, lo = winner[t], j0[t, winner[t]]
+        counts = pref[lo + 1 :] - pref[i]
+        values = counts / (xs[lo:] - xs[i]) ** s
+        j = int(np.argmax(values))
+        entries.append(
+            SDensityEntry(
+                threshold=rs[t],
+                sup_value=float(values[j]),
+                sup_count=int(counts[j]),
+                argmax=(float(xs[i]), float(xs[lo + j])),
+            )
+        )
+    return SDensityEstimate(
+        s=s,
+        entries=tuple(entries),
+        level=level,
+        max_multiplicity=int(pts.weights.max()),
+    )
+
+
+def _tile_winners(xs, pref, s, j0, limit):
+    """Each threshold's winning anchor (n for none) by ``_tile_search``.
+
+    A tile [a0, a1) x [b0, b1) is dead for threshold t when its last right
+    end lies before j0[t, a0], the first admissible one of its first anchor.
+    Otherwise no cell in it exceeds (pref[b1] - pref[a0]) / L^s, where L is
+    the larger of x[b0] - x[a1 - 1] and the shortest admissible length at t;
+    both round down from every cell's length.  The power takes a relative
+    slack of ``_POW_SLACK``, and a tile goes only when its bound is strictly
+    below the best value seen at every threshold, so tied cells reach the
+    leaves.  Each level raises the best from the admissible corner cells
+    (a0, b1 - 1), the tiles' largest intervals.  Leaves evaluate their cells
+    as the one-pass scan does and keep, per threshold, the largest value and
+    the earliest anchor that reaches it.
+    """
+    n, T = len(xs), len(j0)
+    # lengths grow along a row, so its first admissible cell is its shortest
+    shortest = np.where(j0 < n, xs[np.minimum(j0, n - 1)] - xs, np.inf).min(axis=1)[:, None]
+    best = np.full(T, -np.inf)  # best value seen, corners included
+    top = np.full(T, -np.inf)  # best leaf value
+    winner = np.full(T, n)
+
+    def drop(a0, a1, b0, b1):
+        count = pref[b1] - pref[a0]
+        live = b1 - 1 >= j0[:, a0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            corner = count / (xs[b1 - 1] - xs[a0]) ** s
+        np.maximum(best, np.where(live, corner, -np.inf).max(axis=1), out=best)
+        bound = count / (np.maximum(shortest, xs[b0] - xs[a1 - 1]) ** s * (1.0 - _POW_SLACK))
+        return ~(live & (bound >= best[:, None])).any(axis=0)
+
+    def leaves(a0, a1, b0, b1):
+        i, j = _leaf_cells(a0, a1, b0, b1)
+        L, k = j.shape[1:]
+        # values, then a column of -inf; a repeated right end is not admitted
+        values = np.full((L, L + 1, k), -np.inf)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(pref[j + 1] - pref[i], (xs[j] - xs[i]) ** s, out=values[:, :L])
+        values[:, :L][:, b0 + np.arange(L)[:, None] >= b1] = -np.inf
+        # suffix maxima along each row: threshold t admits the right ends of
+        # row i from j0[t, i] on, and the -inf column when there is none
+        step = 1
+        while step < L:
+            np.maximum(values[:, :-step], values[:, step:], out=values[:, :-step])
+            step *= 2
+        # threshold t admits every cell of a tile, or none, or some rows'
+        # suffixes; a row's value at column 0 is its maximum
+        full = j0[:, a1 - 1] <= b0
+        head = values[:, 0]
+        peak = head.max(axis=0)
+        pair = np.where(full, peak, -np.inf)
+        first = np.where(full, a0 + (head == peak).argmax(axis=0), n)
+        t, tile = np.nonzero(~full & (j0[:, a0] < b1))
+        col = np.clip(j0[t[:, None], i[:, 0, tile].T] - b0[tile, None], 0, L)
+        rows = values[np.arange(L), col, tile[:, None]]
+        pair[t, tile] = rows.max(axis=1)
+        first[t, tile] = i[(rows == pair[t, tile][:, None]).argmax(axis=1), 0, tile]
+        m = pair.max(axis=1)
+        first = np.where(pair == m[:, None], first, n).min(axis=1)
+        gain = (m > top) | ((m == top) & (first < winner))
+        top[gain], winner[gain] = m[gain], first[gain]
+        np.maximum(best, m, out=best)
+
+    _tile_search(n, _SCAN_CELLS, drop, leaves, limit, "s-density search")
+    winner[top == -np.inf] = n
+    return winner
+
+
+def _pass_winners(xs, pref, s, r_adm, j0):
+    """Each threshold's winning anchor (n for none) by one pass over the anchors.
+
+    The anchors are taken in blocks of at most ``_SCAN_CELLS`` interval
+    values, or of one anchor whose row alone is longer.  Each anchor's
+    values are computed once, over the right ends admissible at the smallest
+    threshold, and split into the runs of right ends that each larger
+    threshold gives up, so a suffix maximum over the runs is every
+    threshold's best for that anchor.  Anchor i and all later anchors are
+    pruned for threshold r once (mass of the points from i on) / r^s is at
+    most that threshold's best so far, since no interval starting there can
+    exceed it; the pass ends when every threshold is pruned.
+    """
+    n, T = len(xs), len(j0)
+    total = pref[-1]
+    r_pow = np.array([r**s for r in r_adm])[:, None]
     # anchors past n_live have no admissible right end at any threshold
     n_live = int(np.searchsorted(j0[0], n)) if T else 0
+    best = np.full(T, -np.inf)
+    winner = np.full(T, n)
     a = 0
     while a < n_live:
         # a block is a rectangle of anchors [a, b) by right ends [c0, n)
@@ -171,26 +288,7 @@ def upper_s_density_profile(
         if done.all():
             break
         a = b
-    entries = []
-    for t in np.flatnonzero(best > -np.inf):
-        i, lo = winner[t], j0[t, winner[t]]
-        counts = pref[lo + 1 :] - pref[i]
-        values = counts / (xs[lo:] - xs[i]) ** s
-        j = int(np.argmax(values))
-        entries.append(
-            SDensityEntry(
-                threshold=rs[t],
-                sup_value=float(values[j]),
-                sup_count=int(counts[j]),
-                argmax=(float(xs[i]), float(xs[lo + j])),
-            )
-        )
-    return SDensityEstimate(
-        s=s,
-        entries=tuple(entries),
-        level=level,
-        max_multiplicity=int(pts.weights.max()),
-    )
+    return winner
 
 
 def hausdorff_from_sdensity(profile: SDensityEstimate) -> MeasureResult:

@@ -37,3 +37,37 @@ def overfull_pair():
 def twin_dragon_pair():
     """Planar similarity with ratio sqrt(2) and two digits."""
     return validate_pair([[1.0, -1.0], [1.0, 1.0]], [[0.0, 0.0], [1.0, 0.0]])
+
+
+@pytest.fixture
+def tile_work(monkeypatch):
+    """``watch(module)`` records each tile search that ``module`` runs.
+
+    Each record is [work, limit, finished]: the tile bounds and leaf cells
+    the search evaluated, the limit it was given, and whether it finished
+    rather than raising ``BudgetExceeded``.
+    """
+    def watch(module):
+        runs = []
+        search = module._tile_search
+
+        def recording(n, cells, drop, leaves, limit, kernel):
+            run = [0, limit, False]
+            runs.append(run)
+
+            def counted_drop(a0, a1, b0, b1):
+                run[0] += len(a0)
+                return drop(a0, a1, b0, b1)
+
+            def counted_leaves(a0, a1, b0, b1):
+                run[0] += int(((a1 - a0) * (b1 - b0)).sum())
+                return leaves(a0, a1, b0, b1)
+
+            work = search(n, cells, counted_drop, counted_leaves, limit, kernel)
+            run[2] = True
+            return work
+
+        monkeypatch.setattr(module, "_tile_search", recording)
+        return runs
+
+    return watch

@@ -16,7 +16,7 @@
   (``sdensity.check_renormalization`` skips the points whose shifted sample
   bounds settle the test).
 * ``dominance_anchor_by_anchor``: the translation-dominance loop, one binary
-  search per anchor (``cantor._dominance_scan`` scans blocks of anchors).
+  search per anchor (``cantor._dominance_scan`` searches tiles of cells).
 * ``_candidate_centers``: a lower scan's candidate centres on one axis, all
   at once from every point's breaks (``beurling._center_blocks`` builds
   them block by block from the distinct coordinates).

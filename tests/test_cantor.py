@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import dominance_anchor_by_anchor
 
@@ -22,7 +22,7 @@ from selfaffine import (
     translation_dominance_check,
     upper_s_density_profile,
 )
-from selfaffine import cantor
+from selfaffine import cantor, pointset
 from selfaffine.pointset import prefix_weights
 
 
@@ -156,6 +156,41 @@ class TestTranslationDominance:
             mp.setattr(cantor, "_SCAN_CELLS", cells)
             got = cantor._dominance_scan(xs, pref, cap)
         assert got == dominance_anchor_by_anchor(xs, pref)
+
+    @settings(max_examples=300, deadline=None)
+    @given(dominance_sets(), st.integers(1, 64), st.integers(1, 128), st.sampled_from([1, 2, 4]))
+    # the scan-order case: [4, 5] fails first, [9, 10] later
+    @example((np.array([0.0, 4.0, 5.0, 9.0, 10.0]), np.arange(6)), 1, 1, 1)
+    def test_tile_search_equals_anchor_loop(self, case, cells, cap, leaf):
+        xs, pref = case
+        with pytest.MonkeyPatch.context() as mp:
+            # small leaves and batches, so one search spans many levels and batches
+            mp.setattr(pointset, "_LEAF", leaf)
+            mp.setattr(cantor, "_SCAN_CELLS", cells)
+            got = cantor._dominance_scan(xs, pref, cap)
+        assert got == dominance_anchor_by_anchor(xs, pref)
+
+    @pytest.mark.parametrize("leaf", [1, 2, 8])
+    def test_tile_search_proves_cantor_levels(self, monkeypatch, leaf):
+        monkeypatch.setattr(pointset, "_LEAF", leaf)
+        for N, d, k in [(3, 2, 9), (4, 3, 7), (3.5, 1, 7), (5, 1, 6)]:
+            pts = expand_level(CantorPair(N, d).pair(), k)
+            xs, pref = pts.coords(), prefix_weights(pts)
+            assert cantor._dominance_scan(xs, pref) == dominance_anchor_by_anchor(xs, pref)
+
+    def test_level_14_runs_within_the_default_cap(self, tile_work):
+        runs = tile_work(cantor)
+        assert translation_dominance_check(CantorPair(3, 2), 14) == (True, None)
+        [(work, limit, finished)] = runs
+        assert finished and work <= limit == 2**24
+
+    def test_scan_past_the_cap_is_refused_before_the_work(self, tile_work):
+        runs = tile_work(cantor)
+        # mass 2**10 is within the cap; the scan's 144,213 units of work are not
+        with pytest.raises(BudgetExceeded, match=r"dominance scan: \d+ tile bounds and leaf cells exceed cap 32768"):
+            translation_dominance_check(CantorPair(3, 2), 10, cap=2**15)
+        [(work, limit, finished)] = runs
+        assert not finished and work <= limit == 2**15
 
     def test_integer_sets_read_a_rank_table_within_the_lookup_count(self, monkeypatch):
         tables = []

@@ -207,6 +207,18 @@ def test_cantor_sequence():
     assert lines[5:] == ["1,1.29152023433", "2,1.07714370668", "3,1.0240972531"]
 
 
+def test_cantor_dominance_past_the_cap_exits_1_within_seconds():
+    # level 20 would take hours cell by cell; the scan's work budget refuses it
+    result = subprocess.run(
+        [sys.executable, "-m", "selfaffine", "cantor", "--N", "3", "--d", "2",
+         "--op", "dominance", "--level", "20"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 1
+    assert "dominance scan" in result.stderr and "exceed cap" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_cantor_dominance():
     result = run("cantor", "--N", "3", "--d", "1", "--op", "dominance", "--level", "6")
     assert result.returncode == 0

@@ -26,6 +26,7 @@ from selfaffine import (
     upper_s_density_profile,
     validate_pair,
 )
+from selfaffine import pointset
 from selfaffine.pointset import prefix_weights
 from selfaffine.sdensity import MeasureSample
 
@@ -447,6 +448,64 @@ def test_one_pass_scan_equals_threshold_loop_on_cantor(cantor_pair_32, monkeypat
         thresholds = [*natural_thresholds(pts), 2.0, 26.0, 3.0**k - 1]
         got = upper_s_density_profile(pts, S_CANTOR, thresholds, level=k)
         assert got == loop_sdensity(pts, S_CANTOR, thresholds, level=k)
+
+
+#: Shares of the one-pass scan's cells that force the tile search to finish,
+#: or to give way to the scan before any work; "default" keeps the package's.
+SEARCH_MODES = {"search": math.inf, "fallback": 0.0, "default": sdensity._SEARCH_SHARE}
+
+
+@pytest.mark.parametrize("mode", SEARCH_MODES)
+@settings(max_examples=300, deadline=None)
+@given(case=scan_cases(), cells=st.integers(1, 64), leaf=st.sampled_from([1, 2, 4]))
+def test_tile_search_equals_threshold_loop(mode, case, cells, leaf):
+    pts, s, thresholds = case
+    with pytest.MonkeyPatch.context() as mp:
+        # small leaves and batches, so one search spans many levels and batches
+        mp.setattr(pointset, "_LEAF", leaf)
+        mp.setattr(sdensity, "_SCAN_CELLS", cells)
+        mp.setattr(sdensity, "_SEARCH_SHARE", SEARCH_MODES[mode])
+        got = upper_s_density_profile(pts, s, thresholds, level=3)
+    assert got == loop_sdensity(pts, s, thresholds, level=3)
+
+
+@pytest.mark.parametrize("leaf", [1, 2, 8])
+def test_tile_search_equals_threshold_loop_on_cantor(cantor_pair_32, monkeypatch, leaf):
+    monkeypatch.setattr(pointset, "_LEAF", leaf)
+    monkeypatch.setattr(sdensity, "_SEARCH_SHARE", math.inf)
+    for k in range(1, 10):
+        pts = expand_level(cantor_pair_32, k)
+        thresholds = [*natural_thresholds(pts), 2.0, 26.0, 3.0**k - 1]
+        got = upper_s_density_profile(pts, S_CANTOR, thresholds, level=k)
+        assert got == loop_sdensity(pts, S_CANTOR, thresholds, level=k)
+
+
+def _pass_cells(pts, thresholds):
+    """Cells the one-pass scan visits: every right end admissible at the smallest threshold."""
+    xs = pts.coords()
+    r = min(thresholds) * (1.0 - sdensity.THRESHOLD_TOL)
+    return int((len(xs) - np.searchsorted(xs, xs + r, side="left")).sum())
+
+
+def test_cantor_search_evaluates_under_a_percent_of_the_pass(cantor_pair_32, tile_work):
+    runs = tile_work(sdensity)
+    pts = expand_level(cantor_pair_32, 14)
+    thresholds = natural_thresholds(pts)
+    upper_s_density_profile(pts, S_CANTOR, thresholds)
+    [(work, _, finished)] = runs
+    assert finished and work < 0.01 * _pass_cells(pts, thresholds)
+
+
+def test_near_tied_search_gives_way_within_a_quarter_of_the_pass(doubling_pair, tile_work):
+    # at s = 1 every long interval of the doubling tile is within a point of
+    # the best, so bounds prune almost nothing
+    runs = tile_work(sdensity)
+    pts = expand_level(doubling_pair, 12)
+    thresholds = natural_thresholds(pts)
+    got = upper_s_density_profile(pts, 1.0, thresholds)
+    [(work, limit, finished)] = runs
+    assert not finished and work <= limit <= 0.25 * _pass_cells(pts, thresholds)
+    assert got == loop_sdensity(pts, 1.0, thresholds)
 
 
 @pytest.mark.parametrize("bad", [[0.0], [-1.0], [math.nan], [4.0, 0.0, 2.0]])
