@@ -294,7 +294,8 @@ def osc_verdict(pair: SelfAffinePair, k: int, cap: int = DEFAULT_CAP) -> OscRepo
     Levels 1..k come from one ``expand_levels`` stream, each built once
     from the one before.  Separations are exact; on integer points with two
     of them 1 apart the minimum is certified as 1 without a grid pass
-    (``_min_separation``).  In dimension 3 and up, where the density
+    (``_min_separation``); ``cap`` bounds the mass of each level and the
+    cell pairs of each grid pass.  In dimension 3 and up, where the density
     profile is refused, the levels are first scanned for a collision alone,
     so a collision-free pair fails before any separation is measured.
     """
@@ -318,7 +319,7 @@ def osc_verdict(pair: SelfAffinePair, k: int, cap: int = DEFAULT_CAP) -> OscRepo
     first_collision = None
     witness = None
     for level, pts in enumerate(expand_levels(pair, k, cap), start=1):
-        report = analyze_expansion(pts, pair.m, level)
+        report = analyze_expansion(pts, pair.m, level, cap)
         separations.append((level, report.min_separation))
         if report.has_collision:
             heavy = np.nonzero(pts.weights >= 2)[0][0]

@@ -18,12 +18,14 @@ from .beurling import _SCAN_CELLS, _rank_table, _search
 from .errors import InvalidCoefficient
 from .expansion import DEFAULT_CAP, expand_level
 from .pairs import SelfAffinePair, validate_pair
-from .pointset import MERGE_TOL, _leaf_cells, _tile_search, prefix_weights, weight_in_interval
-
-
-#: Work the dominance scan may always do: a cap that admits a small level's
-#: mass, such as 2**8 at level 8, would refuse its scan of some 16,000 units.
-_MIN_BUDGET = 2**15
+from .pointset import (
+    _MIN_BUDGET,
+    MERGE_TOL,
+    _leaf_cells,
+    _tile_search,
+    prefix_weights,
+    weight_in_interval,
+)
 
 
 @dataclass(frozen=True)

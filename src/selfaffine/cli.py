@@ -203,15 +203,28 @@ def _cmd_expand(args) -> str:
 def _expand_blocks(pts):
     """The CSV rows of a point set as verbatim text, ``_EXPAND_BLOCK`` rows per string.
 
-    Each block formats its columns with one ``map`` each, coordinates by
-    the rule of ``_cell`` and weights by ``str``, and never builds a list
-    of every row or of a whole column's strings.
+    Each block is one %-template, the row's specs repeated once per row,
+    applied to the block's values laid out row by row.  A coordinate column
+    prints with ``%d`` when every value in it is an integer below 1e12 in
+    magnitude and none is -0.0, where ``%d`` prints what ``_cell`` prints,
+    and with ``%.12g``, the rule of ``_cell``, otherwise; weights print with
+    ``%d``.  No list of every row or of a whole column's strings is built.
     """
+    p = pts.points
+    width = p.shape[1] + 1
+    integral = [
+        bool(np.all((np.trunc(c) == c) & (np.abs(c) < 1e12) & ~((c == 0) & np.signbit(c))))
+        for c in p.T
+    ]
+    row = ",".join(["%d" if i else "%.12g" for i in integral] + ["%d"])
     for a in range(0, len(pts), _EXPAND_BLOCK):
         b = a + _EXPAND_BLOCK
-        cols = [map(_g12, c) for c in pts.points[a:b].T.tolist()]
-        cols.append(map(str, pts.weights[a:b].tolist()))
-        yield "\n".join(map(",".join, zip(*cols)))
+        block = p[a:b]
+        values = [None] * (len(block) * width)
+        for j, i in enumerate(integral):
+            values[j::width] = (block[:, j].astype(np.int64) if i else block[:, j]).tolist()
+        values[width - 1 :: width] = pts.weights[a:b].tolist()
+        yield "\n".join([row] * len(block)) % tuple(values)
 
 
 def _cmd_check(args) -> str:
@@ -297,7 +310,7 @@ def _cmd_sdensity(args) -> str:
         raise UnsupportedDimension("s-density scan supports dimension 1 only")
     pts = expand_level(pair, args.level, args.cap)
     thresholds = _resolve_sizes(args.thresholds, lambda count: natural_thresholds(pts, count))
-    profile = upper_s_density_profile(pts, s, thresholds, level=args.level)
+    profile = upper_s_density_profile(pts, s, thresholds, level=args.level, cap=args.cap)
     measure = hausdorff_from_sdensity(profile)
     comments = {
         "thresholds": ",".join(map(_cell, thresholds)),
@@ -427,7 +440,8 @@ def _add_common(sub, pair=True, level=True):
         sub.add_argument("--level", required=True, type=_positive_int, help="expansion level k")
     sub.add_argument(
         "--cap", type=_positive_int, default=DEFAULT_CAP,
-        help="work budget: expansion mass, raster cells, 2-D lower-scan windows",
+        help="work budget: expansion mass, raster cells, 2-D lower-scan windows,"
+        " scan cells and separation cell pairs",
     )
     sub.add_argument("-o", "--output", help="output file (default: standard output)")
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, NotACollision
 from .pairs import SelfAffinePair
-from .pointset import _MERGE_SCALE_ERROR, WeightedPointSet, _canonicalize
+from .pointset import _MERGE_SCALE_ERROR, _MIN_BUDGET, WeightedPointSet, _canonicalize
 
 #: Default cap on total mass m**k of an enumeration.
 DEFAULT_CAP = 2**24
@@ -73,7 +73,9 @@ def _next_level(pair: SelfAffinePair, pts: WeightedPointSet, k: int, cap: int) -
     It is the level-k set translated by B^k d for every digit d, merging
     coincident sums so weights count representations; total mass is
     exactly m**(k+1).  B^k is the product of k left multiplications by B,
-    the same sequence at every level.
+    the same sequence at every level.  The candidates go digit by digit:
+    in 1-D, x -> fl(x + c) is monotone, so they are m sorted runs, which
+    ``_canonicalize`` merges.
     """
     m = pair.m
     _check_budget(m, k + 1, cap)
@@ -84,8 +86,8 @@ def _next_level(pair: SelfAffinePair, pts: WeightedPointSet, k: int, cap: int) -
             for _ in range(k):
                 power = b @ power
             shifts = pair.digits.vectors @ power.T
-            new_pts = (pts.points[:, None, :] + shifts[None, :, :]).reshape(-1, pair.dim)
-            points, weights = _canonicalize(new_pts, np.repeat(pts.weights, m))
+            new_pts = (shifts[:, None, :] + pts.points[None]).reshape(-1, pair.dim)
+            points, weights = _canonicalize(new_pts, np.tile(pts.weights, m))
     except FloatingPointError:
         # a sum past the float range lies far past the merge scale
         raise ValueError(_MERGE_SCALE_ERROR) from None
@@ -157,7 +159,7 @@ def _row_index(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.where(found, rank_r, -1)
 
 
-def _min_separation(pts: WeightedPointSet) -> float:
+def _min_separation(pts: WeightedPointSet, cap: int = DEFAULT_CAP) -> float:
     """Smallest Euclidean distance between two distinct points, exactly.
 
     Neighbours in each per-axis sort order give an upper bound delta on the
@@ -169,7 +171,10 @@ def _min_separation(pts: WeightedPointSet) -> float:
     3**dim - 1 neighbours.  A cell side is never below 2**-32 of its axis's
     span: cell indices then stay small enough that rounding cannot split a
     pair closer than delta across non-adjacent cells.  Sets spanning more
-    than 2**32 times delta pay for that with crowded cells.
+    than 2**32 times delta pay for that with crowded cells, so the grid
+    pass counts its cell pairs, the summed products of the compared cells'
+    sizes, before it measures any of them, and raises ``BudgetExceeded``
+    when they pass ``cap``, or ``_MIN_BUDGET`` if that is more.
     """
     p = pts.points
     n, dim = p.shape
@@ -198,19 +203,29 @@ def _min_separation(pts: WeightedPointSet) -> float:
     counts = np.diff(np.append(starts, n))
     occupied = cells[starts]
 
+    neighbours = []
     for shift in itertools.product((-1, 0, 1), repeat=dim):
         if shift >= (0,) * dim:  # the mirror offset would visit the same cell pairs
             b = _row_index(occupied, occupied + np.array(shift))
             a = np.nonzero(b >= 0)[0]
-            best = min(best, _min_over_pairs(p, starts, a, b[a], counts))
+            neighbours.append((a, b[a]))
+    total = sum(int((counts[a] * counts[b]).sum()) for a, b in neighbours)
+    budget = max(cap, _MIN_BUDGET)
+    if total > budget:
+        raise BudgetExceeded(f"min separation: {total} cell pairs exceed cap {budget}")
+    for a, b in neighbours:
+        best = min(best, _min_over_pairs(p, starts, a, b, counts))
     return float(np.sqrt(best))
 
 
-def analyze_expansion(pts: WeightedPointSet, m: int, k: int) -> ExpansionReport:
+def analyze_expansion(
+    pts: WeightedPointSet, m: int, k: int, cap: int = DEFAULT_CAP
+) -> ExpansionReport:
     """Summarize a level-k expansion: distinct count, collisions, min gap.
 
     ``min_separation`` is the smallest pairwise Euclidean distance between
-    distinct points (infinite for a single point).
+    distinct points (infinite for a single point); ``cap`` bounds its cell
+    pairs (``_min_separation``).
     """
     max_mult = int(pts.weights.max())
     return ExpansionReport(
@@ -218,7 +233,7 @@ def analyze_expansion(pts: WeightedPointSet, m: int, k: int) -> ExpansionReport:
         distinct_count=len(pts),
         has_collision=max_mult >= 2,
         max_multiplicity=max_mult,
-        min_separation=_min_separation(pts),
+        min_separation=_min_separation(pts, cap),
     )
 
 

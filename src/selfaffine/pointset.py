@@ -21,6 +21,11 @@ _MERGE_SCALE_ERROR = f"coordinate magnitude exceeds supported merge scale ({_MAX
 #: Anchors and right ends per side of a leaf tile of ``_tile_search``.
 _LEAF = 8
 
+#: Work a budgeted scan may always do, whatever the cap: a cap that admits a
+#: small level's mass, such as 2**8 at level 8, would refuse the dominance
+#: scan of that level, some 16,000 units.
+_MIN_BUDGET = 2**15
+
 
 def _canonicalize(points: np.ndarray, weights: np.ndarray):
     """Merge near-duplicate points and sort lexicographically by coordinates.
@@ -31,17 +36,34 @@ def _canonicalize(points: np.ndarray, weights: np.ndarray):
     tolerance never do.  The representative of a merge group is its
     lexicographically smallest member, so coordinates of the inputs are
     preserved verbatim.
+
+    In 1-D the key round(x / MERGE_TOL) is monotone in x, so one stable
+    sort by x gives the permutation of the sort by key, then by x: equal x
+    means equal key, and both sorts keep input order among equals.  Its
+    timsort merges presorted runs instead of sorting them again, so an input
+    laid out as m sorted runs, as ``expansion._next_level`` builds it, costs
+    about one merge pass.
     """
     if points.size and np.max(np.abs(points)) >= _MAX_ABS_COORD:
         raise ValueError(_MERGE_SCALE_ERROR)
-    keys = np.round(points / MERGE_TOL).astype(np.int64)
-    # one sort by key, then by coordinates: each key group starts at its smallest member
-    order = np.lexsort((*points.T[::-1], *keys.T[::-1]))
-    keys = keys[order]
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = np.any(keys[1:] != keys[:-1], axis=1)
-    starts = np.flatnonzero(first)
-    return points[order[starts]], np.add.reduceat(weights[order], starts).astype(np.int64)
+    if points.shape[1] == 1:
+        order = np.argsort(points[:, 0], kind="stable")
+        xs = points[:, 0][order]
+        # kept as floats: integral values below 2**63 are equal exactly when their int64 casts are
+        keys = np.round(xs / MERGE_TOL)
+        starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+        merged = xs[starts, None]
+    else:
+        keys = np.round(points / MERGE_TOL).astype(np.int64)
+        # one sort by key, then by coordinates: each key group starts at its smallest member
+        order = np.lexsort((*points.T[::-1], *keys.T[::-1]))
+        keys = keys[order]
+        starts = np.flatnonzero(np.concatenate([[True], np.any(keys[1:] != keys[:-1], axis=1)]))
+        merged = points[order[starts]]
+    weights = weights[order]
+    if len(starts) < len(weights):  # with nothing to merge, reduceat would only copy, group by group
+        weights = np.add.reduceat(weights, starts)
+    return merged, weights.astype(np.int64)
 
 
 class WeightedPointSet:

@@ -16,6 +16,7 @@ from .errors import BudgetExceeded, DimensionMismatch, UnsupportedDimension
 from .expansion import DEFAULT_CAP, _check_budget, expand_level
 from .pairs import SelfAffinePair
 from .pointset import (
+    _MIN_BUDGET,
     WeightedPointSet,
     _canonicalize,
     _leaf_cells,
@@ -88,6 +89,7 @@ def upper_s_density_profile(
     s: float,
     thresholds,
     level: int | None = None,
+    cap: int = DEFAULT_CAP,
 ) -> SDensityEstimate:
     """Exact sup of mass / diameter^s over point-bounded intervals, per threshold.
 
@@ -106,6 +108,11 @@ def upper_s_density_profile(
     holds such a set to about a tenth more than the scan alone.  Both
     evaluate a cell with the same float operations, and ties go to the
     earliest anchor and then to the earliest right end.
+
+    ``cap`` bounds the work, or ``_MIN_BUDGET`` if that is more.  When the
+    scan's cells exceed that budget, the scan is refused and the search,
+    the only way left, may spend the whole budget; if it gives up, the
+    profile raises ``BudgetExceeded`` without running the scan.
     """
     if pts.dim != 1:
         raise UnsupportedDimension("s-density scan supports dimension 1 only")
@@ -129,9 +136,13 @@ def upper_s_density_profile(
         )
     # the pass visits every right end admissible at the smallest threshold
     visits = int((n - j0[:1]).sum())
+    budget = max(cap, _MIN_BUDGET)
+    over = visits > budget
     try:
-        winner = _tile_winners(xs, pref, s, j0, visits * _SEARCH_SHARE)
+        winner = _tile_winners(xs, pref, s, j0, budget if over else visits * _SEARCH_SHARE)
     except BudgetExceeded:
+        if over:
+            raise BudgetExceeded(f"s-density scan: {visits} cells exceed cap {budget}") from None
         winner = _pass_winners(xs, pref, s, r_adm, j0)
     entries = []
     for t in np.flatnonzero(winner < n):

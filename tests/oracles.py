@@ -20,6 +20,9 @@
 * ``_candidate_centers``: a lower scan's candidate centres on one axis, all
   at once from every point's breaks (``beurling._center_blocks`` builds
   them block by block from the distinct coordinates).
+* ``canonicalize_by_lexsort``: the merge that sorts by key, then by
+  coordinates, in every dimension (``pointset._canonicalize`` sorts 1-D
+  input by its coordinate alone).
 
 Only the names, and the wrapping of two signatures, differ from the
 originals: ``dominance_anchor_by_anchor`` takes the coordinates and prefix
@@ -42,7 +45,13 @@ from selfaffine.beurling import _TABLE_SPAN
 from selfaffine.errors import DimensionMismatch, ResolutionTooSmall, UnsupportedDimension
 from selfaffine.expansion import DEFAULT_CAP, _check_budget, expand_level
 from selfaffine.pairs import SelfAffinePair
-from selfaffine.pointset import _MERGE_SCALE_ERROR, MERGE_TOL, WeightedPointSet, _canonicalize
+from selfaffine.pointset import (
+    _MAX_ABS_COORD,
+    _MERGE_SCALE_ERROR,
+    MERGE_TOL,
+    WeightedPointSet,
+    _canonicalize,
+)
 from selfaffine.sdensity import _BLOCK, MeasureSample, RenormCheck, _in_box
 
 
@@ -282,3 +291,25 @@ def _candidate_centers(breaks: np.ndarray, zlo: float, zhi: float) -> np.ndarray
     first[1:] = inner[1:] != inner[:-1]
     grid = np.concatenate([[zlo], inner[first], [zhi]])
     return np.concatenate([[zlo], (grid[:-1] + grid[1:]) / 2.0, [zhi]])
+
+
+def canonicalize_by_lexsort(points: np.ndarray, weights: np.ndarray):
+    """Merge near-duplicate points and sort lexicographically by coordinates.
+
+    Merging is grid-based at the MERGE_TOL scale: coordinates are quantized
+    to multiples of the tolerance and equal keys collapse, summing weights.
+    Exactly equal points always merge; points farther apart than twice the
+    tolerance never do.  The representative of a merge group is its
+    lexicographically smallest member, so coordinates of the inputs are
+    preserved verbatim.
+    """
+    if points.size and np.max(np.abs(points)) >= _MAX_ABS_COORD:
+        raise ValueError(_MERGE_SCALE_ERROR)
+    keys = np.round(points / MERGE_TOL).astype(np.int64)
+    # one sort by key, then by coordinates: each key group starts at its smallest member
+    order = np.lexsort((*points.T[::-1], *keys.T[::-1]))
+    keys = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = np.any(keys[1:] != keys[:-1], axis=1)
+    starts = np.flatnonzero(first)
+    return points[order[starts]], np.add.reduceat(weights[order], starts).astype(np.int64)

@@ -2,12 +2,15 @@
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from selfaffine import cli, expansion, parse_pair_spec, render_pair_spec
-from selfaffine.cli import main
+from selfaffine import WeightedPointSet, cli, expansion, parse_pair_spec, render_pair_spec
+from selfaffine.cli import _cell, _expand_blocks, main
 
 DOUBLING = "dim 1\nmatrix\n2\ndigits\n0\n1\n"
 NEGATIVE = "dim 1\nmatrix\n-2\ndigits\n0\n1\n"
@@ -217,6 +220,19 @@ def test_cantor_dominance_past_the_cap_exits_1_within_seconds():
     assert result.returncode == 1
     assert "dominance scan" in result.stderr and "exceed cap" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_sdensity_of_a_near_tied_tile_past_the_cap_exits_1_within_seconds(pair_file):
+    # at s = 1 the doubling tile prunes almost nothing; its pass would visit 5e11 cells
+    result = subprocess.run(
+        [sys.executable, "-m", "selfaffine", "sdensity", "--pair", pair_file(DOUBLING),
+         "--level", "20"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: s-density scan: ")
+    assert result.stderr.endswith(" cells exceed cap 16777216\n")
+    assert result.stdout == ""
 
 
 def test_cantor_dominance():
@@ -555,3 +571,37 @@ def test_threshold_admitting_zero_length_interval_is_domain_error(pair_file):
     assert result.stderr.startswith("error: threshold 1e-300 admits an interval of length 0")
     assert result.stderr.count("\n") == 1
     assert result.stdout == ""
+
+
+#: Values at the edges of the writer's integer spec, and subnormals.
+_EDGES = (0.0, -0.0, 1e12 - 1, -(1e12 - 1), 1e12, -1e12, 1e16, 5e-324, -5e-324, 2.5e-310, 0.5)
+
+_integral = st.integers(-(10**12 - 1), 10**12 - 1).map(float)
+_column_values = st.sampled_from([
+    _integral,
+    st.one_of(_integral, st.sampled_from(_EDGES[:6])),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.one_of(_integral, st.sampled_from(_EDGES), st.floats(allow_nan=False, allow_infinity=False)),
+])
+
+
+@st.composite
+def expand_tables(draw):
+    """A 1-D or 2-D point set whose columns are integral, not integral, or mixed."""
+    dim, rows = draw(st.integers(1, 2)), draw(st.integers(1, 10))
+    columns = [draw(st.lists(draw(_column_values), min_size=rows, max_size=rows)) for _ in range(dim)]
+    weights = draw(st.lists(st.integers(1, 2**40), min_size=rows, max_size=rows))
+    # the writer reads the arrays alone, so any order and magnitude will do
+    return WeightedPointSet._from_canonical(np.array(columns).T, np.array(weights))
+
+
+@settings(max_examples=300, deadline=None)
+@given(expand_tables(), st.integers(1, 3))
+def test_expand_blocks_print_what_cell_prints(pts, block):
+    expected = [
+        ",".join(map(_cell, (*map(float, p), int(w)))) for p, w in zip(pts.points, pts.weights)
+    ]
+    with mock.patch.object(cli, "_EXPAND_BLOCK", block):
+        blocks = list(_expand_blocks(pts))
+    assert len(blocks) == -(-len(pts) // block)
+    assert "\n".join(blocks).split("\n") == expected

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import expand_level_afresh
+from oracles import canonicalize_by_lexsort, expand_level_afresh
 from strategies import small_pairs
 
 from selfaffine import (
@@ -19,9 +19,11 @@ from selfaffine import (
     collision_witness,
     expand_level,
     expand_levels,
+    osc_verdict,
     validate_pair,
 )
-from selfaffine.expansion import _min_separation
+from selfaffine import expansion
+from selfaffine.expansion import _min_separation, _next_level
 
 
 def brute_expansions(matrix, digits, k):
@@ -111,6 +113,22 @@ def test_each_streamed_level_is_the_level_built_alone(pair, k):
     for j, pts in enumerate(levels, start=1):
         expected = _bits(expand_level_afresh(pair, j))
         assert _bits(pts) == _bits(expand_level(pair, j)) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_pairs(), st.integers(1, 6))
+def test_next_level_is_the_point_major_candidate_merged(pair, k):
+    pts = expand_level(pair, k)
+    power = np.eye(pair.dim)
+    for _ in range(k):
+        power = pair.matrix.entries @ power
+    shifts = pair.digits.vectors @ power.T
+    # point by point: each point's m translates side by side
+    candidate = (pts.points[:, None, :] + shifts[None, :, :]).reshape(-1, pair.dim)
+    weights = np.repeat(pts.weights, pair.m)
+    got = _bits(_next_level(pair, pts, k, 10**9))
+    assert got == _bits(WeightedPointSet(candidate, weights))
+    assert got == _bits(WeightedPointSet._from_canonical(*canonicalize_by_lexsort(candidate, weights)))
 
 
 def test_stream_checks_the_budget_level_by_level(doubling_pair):
@@ -275,3 +293,40 @@ def test_min_separation_extreme_extent_ratio(dim):
     sep = _min_separation(pts)
     assert np.ptp(pts.points, axis=0).max() / sep >= 1e12
     assert sep == brute_min_separation(pts.points)
+
+
+def test_min_separation_refuses_crowded_cells_before_measuring_them(monkeypatch):
+    # 2,000 points within 1e-6 beside 2,000 over 3e9: the 2**-32 cell floor
+    # puts the near ones in one cell of some four million pairs
+    rng = np.random.default_rng(19)
+    pts = WeightedPointSet(np.concatenate([rng.random((2000, 2)) * 1e-6, rng.random((2000, 2)) * 3e9]))
+    measure = expansion._sq_dist
+    calls = []
+
+    def sq_dist(a, b):
+        # the neighbour bound takes one call per axis; any later call measures cell pairs
+        calls.append(len(a))
+        if len(calls) > pts.dim:
+            raise AssertionError("a cell pair was measured")
+        return measure(a, b)
+
+    monkeypatch.setattr(expansion, "_sq_dist", sq_dist)
+    with pytest.raises(BudgetExceeded, match=r"min separation: \d{7} cell pairs exceed cap 32768"):
+        _min_separation(pts, cap=1000)
+    calls.clear()
+    with pytest.raises(BudgetExceeded, match=r"cell pairs exceed cap 100000"):
+        analyze_expansion(pts, 2, 1, cap=100_000)
+    assert calls == [len(pts) - 1] * pts.dim
+
+
+def test_osc_verdict_passes_its_cap_to_the_separation(monkeypatch, twin_dragon_pair):
+    caps = []
+    measure = expansion._min_separation
+
+    def recording(pts, cap):
+        caps.append(cap)
+        return measure(pts, cap)
+
+    monkeypatch.setattr(expansion, "_min_separation", recording)
+    osc_verdict(twin_dragon_pair, 4, cap=777)
+    assert caps == [777] * 4

@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from oracles import _prefix_sums as prefix_sums_by_copies
+from oracles import canonicalize_by_lexsort
 
-from selfaffine import EmptyPointSet, MERGE_TOL, WeightedPointSet
-from selfaffine.pointset import _prefix_sums, prefix_weights, weight_in_interval
+from selfaffine import EmptyPointSet, MERGE_TOL, WeightedPointSet, expand_level
+from selfaffine.pointset import _canonicalize, _prefix_sums, prefix_weights, weight_in_interval
 
 
 def test_sorted_lexicographically():
@@ -182,3 +183,56 @@ def test_merge_matches_grouping_by_key(rows):
     ps = WeightedPointSet(points, weights)
     assert [tuple(p) for p in ps.points] == [rep for rep, _ in expected]
     assert ps.weights.tolist() == [total for _, total in expected]
+
+
+#: Offsets around the merge tolerance: inside it, at half of it, at it and past it.
+_NEAR_TOL = (0.0, -0.0, 4e-10, -4e-10, 5e-10, -5e-10, 1e-9, -1e-9, 1.5e-9, 2e-9)
+
+#: Coordinates in clusters near the merge tolerance, with +-0.0 and repeats.
+_clustered = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.tuples(
+        st.one_of(st.integers(-3, 3).map(float), st.floats(-10, 10)),
+        st.one_of(st.sampled_from(_NEAR_TOL), st.floats(-3e-9, 3e-9)),
+    ).map(sum),
+)
+
+
+def _merged_bits(points, weights):
+    return points.dtype, points.shape, points.tobytes(), weights.dtype, weights.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(_clustered, st.integers(1, 5)), min_size=1, max_size=30),
+    st.lists(_clustered, min_size=1, max_size=4),
+)
+def test_1d_merge_equals_the_lexsort_merge_in_both_layouts(rows, shifts):
+    # one level's points and weights as drawn, then shifted point by point and digit by digit
+    xs = np.array([x for x, _ in rows])
+    w = np.array([v for _, v in rows])
+    c = np.array(shifts)
+    level = np.argsort(xs, kind="stable")
+    xs, w = xs[level], w[level]
+    layouts = [
+        (np.array([x for x, _ in rows]), np.array([v for _, v in rows])),
+        ((xs[:, None] + c).ravel(), np.repeat(w, len(c))),
+        ((c[:, None] + xs).ravel(), np.tile(w, len(c))),
+    ]
+    for points, weights in layouts:
+        points = points[:, None]
+        got = _canonicalize(points, weights)
+        assert _merged_bits(*got) == _merged_bits(*canonicalize_by_lexsort(points, weights))
+
+
+def test_1d_canonicalization_never_calls_lexsort(monkeypatch, doubling_pair, collision_pair):
+    def lexsort(keys):
+        raise AssertionError("np.lexsort was called")
+
+    monkeypatch.setattr(np, "lexsort", lexsort)
+    WeightedPointSet([3.0, -0.0, 0.0, 1.0, 1.0 + 4e-10], [1, 2, 3, 4, 5])
+    expand_level(doubling_pair, 8)
+    expand_level(collision_pair, 4)
+    # the guard holds: a 2-D set still sorts by lexsort
+    with pytest.raises(AssertionError, match="lexsort"):
+        WeightedPointSet([[1.0, 0.0], [0.0, 1.0]])

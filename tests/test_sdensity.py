@@ -12,6 +12,7 @@ from oracles import chaos_game_1d_block_by_block, check_renormalization_every_po
 from strategies import small_pairs
 
 from selfaffine import (
+    BudgetExceeded,
     DimensionMismatch,
     UnsupportedDimension,
     WeightedPointSet,
@@ -506,6 +507,32 @@ def test_near_tied_search_gives_way_within_a_quarter_of_the_pass(doubling_pair, 
     [(work, limit, finished)] = runs
     assert not finished and work <= limit <= 0.25 * _pass_cells(pts, thresholds)
     assert got == loop_sdensity(pts, 1.0, thresholds)
+
+
+def test_near_tied_scan_past_the_cap_is_refused_before_the_pass(doubling_pair, tile_work, monkeypatch):
+    def scanned(*args):
+        raise AssertionError("the one-pass scan ran")
+
+    monkeypatch.setattr(sdensity, "_pass_winners", scanned)
+    runs = tile_work(sdensity)
+    pts = expand_level(doubling_pair, 10)
+    thresholds = natural_thresholds(pts)
+    cells = _pass_cells(pts, thresholds)
+    # the pass's cells pass the floor of 2**15; the search may spend that much and no more
+    with pytest.raises(BudgetExceeded, match=rf"s-density scan: {cells} cells exceed cap 32768"):
+        upper_s_density_profile(pts, 1.0, thresholds, cap=2**10)
+    [(work, limit, finished)] = runs
+    assert not finished and work <= limit == 2**15
+
+
+def test_scan_within_the_cap_still_falls_back_to_the_pass(doubling_pair):
+    pts = expand_level(doubling_pair, 10)
+    thresholds = natural_thresholds(pts)
+    cap = _pass_cells(pts, thresholds)
+    got = upper_s_density_profile(pts, 1.0, thresholds, cap=cap)
+    assert got == loop_sdensity(pts, 1.0, thresholds)
+    with pytest.raises(BudgetExceeded, match="s-density scan"):
+        upper_s_density_profile(pts, 1.0, thresholds, cap=cap - 1)
 
 
 @pytest.mark.parametrize("bad", [[0.0], [-1.0], [math.nan], [4.0, 0.0, 2.0]])
