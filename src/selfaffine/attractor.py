@@ -5,8 +5,10 @@ downward from an everything-occupied bounding box.  Rasterization is
 conservative (cell images are bounded by their axis box and dilated by one
 cell), so occupancy always covers the true attractor and the occupied
 volume decreases monotonically to a fixed point: an outer Lebesgue
-estimate.  Since cells only ever leave the cover, each pass re-tests just
-the cells still in it.
+estimate.  The first pass starts from every cell occupied, so it is decided
+from the extents of each cell's index boxes alone.  Since cells only ever
+leave the cover, each later pass re-tests just the cells still in it, and
+sums its prefix table over their bounding box only.
 """
 from __future__ import annotations
 
@@ -38,7 +40,6 @@ from .expansion import (
     expand_levels,
 )
 from .pairs import REGIME_FRACTAL, REGIME_TILE, SelfAffinePair, _inf_norm
-from .pointset import _prefix_sums
 
 MIN_RESOLUTION = 16
 DEFAULT_MAX_ITERS = 256
@@ -124,6 +125,37 @@ def invariant_radius(pair: SelfAffinePair) -> float:
     return max_digit * norm_sum / (1.0 - gamma)
 
 
+def _fill_prefix_table(s: np.ndarray, occ: np.ndarray, live: np.ndarray) -> None:
+    """Make ``s`` the prefix table of ``occ`` (as ``pointset._prefix_sums``), summed over a box.
+
+    ``live`` holds the occupied cells' flat indices, in increasing order.
+    The table is summed over their bounding box; before the box along an
+    axis its entries are 0, and after it they repeat the box's last slice,
+    as no cell outside the box adds to them.  So every entry is the one a
+    sum over the whole grid gives.
+    """
+    if not len(live):
+        return  # no cell is left to read the table
+    n = occ.shape[0]
+    first = n ** (occ.ndim - 1)
+    box = [(int(live[0]) // first, int(live[-1]) // first + 1)]
+    if occ.ndim == 2:
+        column = live % n
+        box.append((int(column.min()), int(column.max()) + 1))
+    inner = s[tuple(slice(a + 1, b + 1) for a, b in box)]
+    inner[...] = occ[tuple(slice(a, b) for a, b in box)]
+    for axis in range(occ.ndim):
+        np.cumsum(inner, axis=axis, dtype=s.dtype, out=inner)
+    for axis, (a, _) in enumerate(box):
+        s[(slice(None),) * axis + (slice(None, a + 1),)] = 0
+    # the later axes first, so that each copied slice is already complete beyond the box
+    for axis in reversed(range(occ.ndim)):
+        head = tuple(slice(a + 1, b + 1) for a, b in box[:axis])
+        tail = tuple(slice(a + 1, None) for a, _ in box[axis + 1 :])
+        b = box[axis][1]
+        s[head + (slice(b + 1, None),) + tail] = s[head + (slice(b, b + 1),) + tail]
+
+
 def raster_attractor(
     pair: SelfAffinePair,
     resolution: int,
@@ -136,10 +168,15 @@ def raster_attractor(
     their bounding box plus a one-cell dilation, so every cell meeting the
     true attractor survives forever and the fixed point is an outer cover.
 
-    A dead cell stays dead, so a pass tests only the live cells: their flat
-    indices and each digit's box corners are kept compressed to them, and
-    the cells that fail are dropped from every array.  The iteration has
-    converged when a pass drops no cell.
+    The first pass needs no table: with every cell occupied, a cell's count
+    in a digit's index box is the product of the box's extents, so the cell
+    survives when some digit's box has a positive extent on every axis.  A
+    dead cell stays dead, so later passes test only the live cells: their
+    flat indices and each digit's box corners are kept compressed to them,
+    and the cells that fail are dropped from every array.  Each later pass
+    sums the prefix table over the bounding box of the occupied cells only
+    (``_fill_prefix_table``).  The iteration has converged when a pass
+    drops no cell.
     """
     if pair.dim not in (1, 2):
         raise UnsupportedDimension("raster supports dimensions 1 and 2 only")
@@ -156,57 +193,76 @@ def raster_attractor(
     centers = lo + (np.arange(resolution) + 0.5) * h
 
     dim = pair.dim
+    shape = (resolution,) * dim
     images = [
         sum(b[a, k] * centers.reshape((-1,) + (1,) * (dim - 1 - k)) for k in range(dim))
         for a in range(dim)
     ]
     # half-extent of a cell's image, dilated by one cell
     ext = np.abs(b) @ np.full(dim, h / 2) + h
-    # Each digit's index box around every cell image, as flat indices of its
-    # corners into the raveled prefix table: (+) corners and (-) corners of
-    # the inclusion-exclusion.  They depend only on the pair and the grid.
+    # Each digit's index box around every cell image: per axis, its low and
+    # high edges times the axis's stride in the raveled prefix table.  The
+    # edges are clipped to the grid while still floats, so they fit the
+    # index type, and the corners' flat sums stay below (resolution + 1)**dim.
     index_type = np.int32 if (resolution + 1) ** dim < 2**31 else np.int64
-
-    def cell(edge):
-        # narrowed before the stride multiply: the corners' flat sums stay
-        # below (resolution + 1)**dim, so they are exact in index_type
-        return np.clip(edge.astype(np.int64), 0, resolution).astype(index_type)
-
+    buf = np.empty(shape)
     boxes = []
     for d in digits:
-        ends = []
+        edges = []
         for a in range(dim):
-            c = images[a] - d[a]
-            stride = (resolution + 1) ** (dim - 1 - a)
-            ends.append((
-                cell(np.floor((c - ext[a] - lo) / h)) * stride,
-                cell(np.ceil((c + ext[a] - lo) / h)) * stride,
-            ))
-        box = ([], [])
-        for corner in itertools.product((1, 0), repeat=dim):
-            flat = sum(ends[a][corner[a]] for a in range(dim))
-            box[(sum(corner) - dim) % 2].append(flat.reshape(-1))
-        boxes.append(box)
-    del images, ends, c
-    occ = np.ones((resolution,) * dim, dtype=bool)
-    live = np.arange(occ.size, dtype=index_type)
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iters + 1):
-        s = _prefix_sums(occ).reshape(-1)
+            for shift, rounding in ((-ext[a], np.floor), (ext[a], np.ceil)):
+                np.subtract(images[a], d[a], out=buf)
+                buf += shift
+                buf -= lo
+                buf /= h
+                rounding(buf, out=buf)
+                np.clip(buf, 0, resolution, out=buf)
+                buf *= (resolution + 1) ** (dim - 1 - a)
+                edges.append(buf.astype(index_type).reshape(-1))
+        boxes.append(edges)
+    del images, buf
+    # pass 1: every cell is occupied, so a box holds cells when no extent is 0
+    keep = np.zeros(resolution**dim, dtype=bool)
+    for edges in boxes:
+        filled = edges[1] > edges[0]
+        for a in range(1, dim):
+            filled &= edges[2 * a + 1] > edges[2 * a]
+        keep |= filled
+    occ = keep.reshape(shape)
+    live = np.flatnonzero(keep).astype(index_type)
+    converged = bool(keep.all())
+    iterations = 1
+    # the (+) and (-) corners of the inclusion-exclusion, in one order
+    corners = list(itertools.product((1, 0), repeat=dim))
+    adds = [(dim - sum(c)) % 2 == 0 for c in corners]
+    for i, edges in enumerate(boxes):
+        # the survivors' corners as flat indices into the raveled prefix table
+        ends = [edges[k][keep] for k in range(2 * dim)]
+        boxes[i] = [sum(ends[2 * a + c[a]] for a in range(dim)) for c in corners]
+    del edges, ends, filled, keep
+    s = np.zeros((resolution + 1,) * dim, dtype=index_type)
+    flat = s.reshape(-1)
+    while not converged and iterations < max_iters:
+        iterations += 1
+        _fill_prefix_table(s, occ, live)
         keep = np.zeros(len(live), dtype=bool)
-        for plus, minus in boxes:
-            # occupied cells in the index box, by inclusion-exclusion over its corners
-            keep |= sum(s[i] for i in plus) > sum(s[i] for i in minus)
+        for box_corners in boxes:
+            # occupied cells in the index box, by inclusion-exclusion over its
+            # corners; in this order each partial sum lies within
+            # +-resolution**dim, so it cannot overflow the table's type
+            count = flat[box_corners[0]]
+            for add, c in zip(adds[1:], box_corners[1:]):
+                (np.add if add else np.subtract)(count, flat[c], out=count)
+            keep |= count > 0
         if keep.all():
             converged = True
             break
         occ.reshape(-1)[live[~keep]] = False
         live = live[keep]
-        for corners in itertools.chain.from_iterable(boxes):
+        for box_corners in boxes:
             # one array at a time, so that no more than one extra copy is alive
-            for i, flat in enumerate(corners):
-                corners[i] = flat[keep]
+            for i, c in enumerate(box_corners):
+                box_corners[i] = c[keep]
 
     occ.flags.writeable = False
     grid = RasterGrid(dim=pair.dim, radius=radius, resolution=resolution, cells=occ)

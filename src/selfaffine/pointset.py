@@ -28,7 +28,7 @@ _MIN_BUDGET = 2**15
 
 
 def _canonicalize(points: np.ndarray, weights: np.ndarray):
-    """Merge near-duplicate points and sort lexicographically by coordinates.
+    """Merge near-duplicate points and sort them into canonical order.
 
     Merging is grid-based at the MERGE_TOL scale: coordinates are quantized
     to multiples of the tolerance and equal keys collapse, summing weights.
@@ -36,6 +36,10 @@ def _canonicalize(points: np.ndarray, weights: np.ndarray):
     tolerance never do.  The representative of a merge group is its
     lexicographically smallest member, so coordinates of the inputs are
     preserved verbatim.
+
+    In 2-D the groups are sorted by key, so canonical order is merge-key
+    order: x can decrease between points whose x values round to the same
+    key and whose y keys then decide.
 
     In 1-D the key round(x / MERGE_TOL) is monotone in x, so one stable
     sort by x gives the permutation of the sort by key, then by x: equal x
@@ -69,8 +73,11 @@ def _canonicalize(points: np.ndarray, weights: np.ndarray):
 class WeightedPointSet:
     """Distinct points with positive integer weights, kept in canonical order.
 
-    Canonical order is lexicographic by coordinates.  The arrays are
-    read-only; every operation returns a new set.
+    Canonical order is sorted by coordinate in 1-D.  In 2-D it is merge-key
+    order: lexicographic by the quantized keys round(x / MERGE_TOL) and
+    round(y / MERGE_TOL), so x can decrease between two points whose x
+    values share a key.  The arrays are read-only; every operation returns
+    a new set.
     """
 
     __slots__ = ("points", "weights")

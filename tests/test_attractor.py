@@ -1,5 +1,6 @@
 """Raster covers, origin classification, and separation verdicts."""
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from selfaffine import (
     upper_density_profile,
     validate_pair,
 )
+from selfaffine.attractor import DEFAULT_MAX_ITERS
 
 
 class TestInvariantRadius:
@@ -60,6 +62,17 @@ class TestInvariantRadius:
             radius = invariant_radius(pair)
             sample = sample_self_similar_measure(pair, 500, seed=9)
             assert np.max(np.abs(sample.points)) <= radius + 1e-9
+
+
+def raster_equal_to_full_grid(pair, resolution, max_iters=DEFAULT_MAX_ITERS):
+    """``raster_attractor``'s result, checked equal to the full-grid iteration's."""
+    grid, estimate = raster_attractor(pair, resolution, max_iters)
+    expected_grid, expected = raster_attractor_full_grid(pair, resolution, max_iters)
+    assert grid.radius == expected_grid.radius
+    assert grid.cells.dtype == expected_grid.cells.dtype
+    assert np.array_equal(grid.cells, expected_grid.cells)
+    assert estimate == expected
+    return grid, estimate
 
 
 class TestRasterAttractor:
@@ -124,16 +137,56 @@ class TestRasterAttractor:
         assert peak <= 17.0 * 2**20
         # 13.5 MiB while the corner indices were summed in int64
         assert peak <= 11.2 * 2**20
+        # 10.7 MiB while the first pass read a full-grid int64 prefix table
+        assert peak <= 8.3 * 2**20
 
     @settings(max_examples=150, deadline=None)
     @given(small_pairs(), st.integers(16, 40), st.sampled_from([1, 2, 3, 256]))
     def test_live_cells_equal_the_full_grid_iteration(self, pair, resolution, max_iters):
-        grid, estimate = raster_attractor(pair, resolution, max_iters)
-        expected_grid, expected = raster_attractor_full_grid(pair, resolution, max_iters)
-        assert grid.radius == expected_grid.radius
-        assert grid.cells.dtype == expected_grid.cells.dtype
-        assert np.array_equal(grid.cells, expected_grid.cells)
-        assert estimate == expected
+        raster_equal_to_full_grid(pair, resolution, max_iters)
+
+    def test_first_pass_keeping_every_cell_converges_there(self):
+        pair = validate_pair([[1.25, 0.0], [0.0, 1.25]], [[0.0, 0.0], [0.0, 1.0]])
+        grid, estimate = raster_equal_to_full_grid(pair, 16, 2)
+        assert grid.cells.all()
+        assert estimate.converged and estimate.iterations == 1
+
+    def test_single_pass_with_cells_dying(self, twin_dragon_pair):
+        grid, estimate = raster_equal_to_full_grid(twin_dragon_pair, 64, 1)
+        assert 0 < grid.cells.sum() < 64**2
+        assert not estimate.converged and estimate.iterations == 1
+
+    def test_occupied_box_reaching_both_ends_of_an_axis(self):
+        # the attractor spans the invariant box along x and lies on y = 0
+        pair = validate_pair([[4.0, 0.0], [0.0, 4.0]], [[0.0, 0.0], [-1.0, 0.0], [1.0, 0.0]])
+        grid, estimate = raster_equal_to_full_grid(pair, 48)
+        xs, ys = np.nonzero(grid.cells)
+        assert (xs.min(), xs.max(), ys.min(), ys.max()) == (0, 47, 23, 24)
+        assert estimate.converged and estimate.iterations == 5
+
+    @pytest.mark.parametrize("ratio, digits, resolution", [
+        (-2.0, [[0.0], [1.0]], 256),
+        (3.0, [[0.0], [2.0]], 243),
+        (4.0, [[0.0], [-1.0], [1.0]], 96),  # the cover reaches both ends of the grid
+    ])
+    def test_one_dimensional_pairs_equal_the_full_grid_iteration(self, ratio, digits, resolution):
+        pair = validate_pair([[ratio]], digits)
+        _, estimate = raster_equal_to_full_grid(pair, resolution)
+        assert estimate.converged and estimate.iterations > 2
+
+    @pytest.mark.parametrize("resolution", [384, 512])
+    def test_twin_dragon_equals_the_full_grid_iteration(self, twin_dragon_pair, resolution):
+        _, estimate = raster_equal_to_full_grid(twin_dragon_pair, resolution)
+        assert estimate.converged
+
+    def test_edges_beyond_the_index_range_cast_without_warning(self):
+        # B = 1e17: most image boxes reach past 2**63 cells and are clipped to the grid
+        pair = validate_pair([[1e17]], [[0.0], [1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid, estimate = raster_attractor(pair, 4096)
+        assert np.flatnonzero(grid.cells).tolist() == [2047, 2048, 4095]
+        assert estimate.converged and estimate.iterations == 2
 
     def test_iteration_cap_reports_no_convergence(self, doubling_pair):
         _, capped = raster_attractor(doubling_pair, 256, max_iters=1)

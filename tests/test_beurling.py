@@ -363,8 +363,16 @@ def loop_inf_scan(pts, nxt, size, zlo, zhi):
     return best[1:]
 
 
+def x_ordered(q):
+    """``q`` with its points in stable order of x, as the reference scans need."""
+    order = np.argsort(q.points[:, 0], kind="stable")
+    return WeightedPointSet._from_canonical(q.points[order], q.weights[order])
+
+
 def loop_profiles(pts, schedule, nxt, level):
-    """Upper and lower profiles built from the reference scans."""
+    """Upper and lower profiles built from the reference scans, on x-ordered copies of the sets."""
+    pts = x_ordered(pts)
+    nxt = None if nxt is None else x_ordered(nxt)
     dim = pts.dim
     radius = np.max(np.abs(pts.points), axis=0)
     upper, lower = [], []
@@ -468,6 +476,24 @@ def test_blocked_sweep_equals_slab_loops(case, first, cells):
         mp.setattr(beurling, "_SCAN_CELLS", cells)
         got = sweep_profiles(pts, schedule, nxt, level=3)
     assert got == loop_profiles(pts, schedule, nxt, level=3)
+
+
+@pytest.mark.parametrize("with_next", [False, True])
+def test_scans_of_a_set_whose_x_decreases_in_canonical_order(with_next):
+    # both x values round to merge key 0, so the y keys put (0, 0) first
+    pts = WeightedPointSet([[0, 0], [-4.2827122692175913e-10, 1], [1, 1]])
+    assert pts.points[1, 0] < pts.points[0, 0]
+    nxt = pts if with_next else None
+    schedule = WindowSchedule((1.0,))
+    upper, lower = sweep_profiles(pts, schedule, nxt, level=3)
+    assert (upper, lower) == loop_profiles(pts, schedule, nxt, level=3)
+    assert upper.entries[0].sup_count == brute_sup_2d(pts, 1.0) == 2
+    # every window centred in [-1/2, 1/2]^2, the admissible range, holds (0, 0)
+    entry = lower.entries[0]
+    pad = 0.5 + TOL
+    inside = np.all(np.abs(pts.points - entry.argmin_center) <= pad, axis=1)
+    assert entry.inf_count == int(pts.weights[inside].sum()) == 1
+    assert entry.trusted == with_next
 
 
 SPIRAL = ([[1.9, -0.7], [0.7, 1.9]], [[0, 0], [1, 0], [0.37, 0.71]])
