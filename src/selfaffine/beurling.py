@@ -65,7 +65,7 @@ BOUNDARY_TOL = 1e-12
 #: Number of window sizes in a natural (geometric, ratio 2) schedule.
 NATURAL_SCHEDULE_LEN = 9
 
-#: Counts held at once by one block of a blocked scan, here and in ``sdensity``.
+#: Counts held at once by one block of a blocked scan, or one batch of tile-search leaves.
 _SCAN_CELLS = 2**15
 
 #: Low breaks in the first block of a lower scan's centres on one axis

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beurling import _SCAN_CELLS, MeasureResult, _natural_ladder, _reciprocal_measure
-from .errors import BudgetExceeded, DimensionMismatch, UnsupportedDimension
+from .errors import DimensionMismatch, UnsupportedDimension
 from .expansion import DEFAULT_CAP, _check_budget, expand_level
 from .pairs import SelfAffinePair
 from .pointset import (
@@ -30,10 +30,6 @@ THRESHOLD_TOL = 1e-12
 
 #: Relative slack on the power of a tile bound, against rounding in ``**``.
 _POW_SLACK = 1e-12
-
-#: The tile search gives way to the one-pass scan once its work passes this
-#: share of the cells that scan visits.
-_SEARCH_SHARE = 1 / 64
 
 
 @dataclass(frozen=True)
@@ -100,19 +96,11 @@ def upper_s_density_profile(
     (some anchor plus r rounds back to the anchor), raises ``ValueError``.
 
     A tile search over (anchor, right end) cells finds the sup
-    (``_tile_winners``).  Counted from ``j0`` before any work, the one-pass
-    scan (``_pass_winners``) would visit some number of cells; when the
-    search's work would pass ``_SEARCH_SHARE`` of them, as on near-tied
-    sets where bounds prune little, that scan runs instead.  A leaf cell
-    costs the search several times what a cell costs the scan, so the share
-    holds such a set to about a tenth more than the scan alone.  Both
-    evaluate a cell with the same float operations, and ties go to the
-    earliest anchor and then to the earliest right end.
-
-    ``cap`` bounds the work, or ``_MIN_BUDGET`` if that is more.  When the
-    scan's cells exceed that budget, the scan is refused and the search,
-    the only way left, may spend the whole budget; if it gives up, the
-    profile raises ``BudgetExceeded`` without running the scan.
+    (``_tile_winners``).  It evaluates a cell with the float operations of
+    the per-threshold anchor loop, and ties go to the earliest anchor and
+    then to the earliest right end.  ``cap`` bounds its tile bounds and leaf
+    cells, or ``_MIN_BUDGET`` if that is more; past the budget the profile
+    raises ``BudgetExceeded``.
     """
     if pts.dim != 1:
         raise UnsupportedDimension("s-density scan supports dimension 1 only")
@@ -123,27 +111,19 @@ def upper_s_density_profile(
         raise ValueError("thresholds must be positive")
     xs = pts.coords()
     pref = prefix_weights(pts)
-    n, T = len(xs), len(rs)
-    r_adm = [r * (1.0 - THRESHOLD_TOL) for r in rs]
+    n = len(xs)
     # first admissible right end per threshold (rows) and anchor (columns)
-    j0 = np.searchsorted(xs, xs + np.array(r_adm)[:, None], side="left")
-    # a threshold below an anchor's float spacing admits the anchor itself
-    zero = (j0 == np.arange(n)).any(axis=1)
-    if zero.any():
+    j0 = np.empty((len(rs), n), dtype=np.intp)
+    for t, r in enumerate(rs):
+        j0[t] = np.searchsorted(xs, xs + r * (1.0 - THRESHOLD_TOL), side="left")
+    # a threshold below an anchor's float spacing admits the anchor itself;
+    # anchor plus r only grows with r, so the smallest threshold shows it first
+    if len(rs) and (j0[0] == np.arange(n)).any():
         raise ValueError(
-            f"threshold {rs[int(np.argmax(zero))]:g} admits an interval of length 0:"
+            f"threshold {rs[0]:g} admits an interval of length 0:"
             " it is below the float spacing of the coordinates"
         )
-    # the pass visits every right end admissible at the smallest threshold
-    visits = int((n - j0[:1]).sum())
-    budget = max(cap, _MIN_BUDGET)
-    over = visits > budget
-    try:
-        winner = _tile_winners(xs, pref, s, j0, budget if over else visits * _SEARCH_SHARE)
-    except BudgetExceeded:
-        if over:
-            raise BudgetExceeded(f"s-density scan: {visits} cells exceed cap {budget}") from None
-        winner = _pass_winners(xs, pref, s, r_adm, j0)
+    winner = _tile_winners(xs, pref, s, j0, max(cap, _MIN_BUDGET))
     entries = []
     for t in np.flatnonzero(winner < n):
         i, lo = winner[t], j0[t, winner[t]]
@@ -177,13 +157,23 @@ def _tile_winners(xs, pref, s, j0, limit):
     slack of ``_POW_SLACK``, and a tile goes only when its bound is strictly
     below the best value seen at every threshold, so tied cells reach the
     leaves.  Each level raises the best from the admissible corner cells
-    (a0, b1 - 1), the tiles' largest intervals.  Leaves evaluate their cells
-    as the one-pass scan does and keep, per threshold, the largest value and
-    the earliest anchor that reaches it.
+    (a0, b1 - 1), the tiles' largest intervals.
+
+    A batch of leaves gives each threshold the largest value among its
+    admissible cells.  A threshold that admits a leaf whole needs only the
+    leaf's row maxima; only the leaves that some threshold admits in part
+    take suffix maxima along their rows, since threshold t admits the right
+    ends of row i from j0[t, i] on.  The earliest anchor that reaches the
+    value is found only for the thresholds whose winner it may change.
     """
     n, T = len(xs), len(j0)
-    # lengths grow along a row, so its first admissible cell is its shortest
-    shortest = np.where(j0 < n, xs[np.minimum(j0, n - 1)] - xs, np.inf).min(axis=1)[:, None]
+    # lengths grow along a row, so its first admissible cell is its shortest;
+    # the anchors with an admissible cell come first
+    shortest = np.full((T, 1), np.inf)
+    for t, row in enumerate(j0):
+        k = int(np.searchsorted(row, n))
+        if k:
+            shortest[t] = (xs[row[:k]] - xs[:k]).min()
     best = np.full(T, -np.inf)  # best value seen, corners included
     top = np.full(T, -np.inf)  # best leaf value
     winner = np.full(T, n)
@@ -197,108 +187,57 @@ def _tile_winners(xs, pref, s, j0, limit):
         bound = count / (np.maximum(shortest, xs[b0] - xs[a1 - 1]) ** s * (1.0 - _POW_SLACK))
         return ~(live & (bound >= best[:, None])).any(axis=0)
 
+    scratch = np.empty(0)
+
     def leaves(a0, a1, b0, b1):
+        nonlocal scratch
         i, j = _leaf_cells(a0, a1, b0, b1)
-        L, k = j.shape[1:]
-        # values, then a column of -inf; a repeated right end is not admitted
-        values = np.full((L, L + 1, k), -np.inf)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(pref[j + 1] - pref[i], (xs[j] - xs[i]) ** s, out=values[:, :L])
-        values[:, :L][:, b0 + np.arange(L)[:, None] >= b1] = -np.inf
-        # suffix maxima along each row: threshold t admits the right ends of
-        # row i from j0[t, i] on, and the -inf column when there is none
-        step = 1
-        while step < L:
-            np.maximum(values[:, :-step], values[:, step:], out=values[:, :-step])
-            step *= 2
-        # threshold t admits every cell of a tile, or none, or some rows'
-        # suffixes; a row's value at column 0 is its maximum
-        full = j0[:, a1 - 1] <= b0
-        head = values[:, 0]
-        peak = head.max(axis=0)
-        pair = np.where(full, peak, -np.inf)
-        first = np.where(full, a0 + (head == peak).argmax(axis=0), n)
-        t, tile = np.nonzero(~full & (j0[:, a0] < b1))
-        col = np.clip(j0[t[:, None], i[:, 0, tile].T] - b0[tile, None], 0, L)
-        rows = values[np.arange(L), col, tile[:, None]]
-        pair[t, tile] = rows.max(axis=1)
-        first[t, tile] = i[(rows == pair[t, tile][:, None]).argmax(axis=1), 0, tile]
-        m = pair.max(axis=1)
-        first = np.where(pair == m[:, None], first, n).min(axis=1)
-        gain = (m > top) | ((m == top) & (first < winner))
-        top[gain], winner[gain] = m[gain], first[gain]
-        np.maximum(best, m, out=best)
-
-    _tile_search(n, _SCAN_CELLS, drop, leaves, limit, "s-density search")
-    winner[top == -np.inf] = n
-    return winner
-
-
-def _pass_winners(xs, pref, s, r_adm, j0):
-    """Each threshold's winning anchor (n for none) by one pass over the anchors.
-
-    The anchors are taken in blocks of at most ``_SCAN_CELLS`` interval
-    values, or of one anchor whose row alone is longer.  Each anchor's
-    values are computed once, over the right ends admissible at the smallest
-    threshold, and split into the runs of right ends that each larger
-    threshold gives up, so a suffix maximum over the runs is every
-    threshold's best for that anchor.  Anchor i and all later anchors are
-    pruned for threshold r once (mass of the points from i on) / r^s is at
-    most that threshold's best so far, since no interval starting there can
-    exceed it; the pass ends when every threshold is pruned.
-    """
-    n, T = len(xs), len(j0)
-    total = pref[-1]
-    r_pow = np.array([r**s for r in r_adm])[:, None]
-    # anchors past n_live have no admissible right end at any threshold
-    n_live = int(np.searchsorted(j0[0], n)) if T else 0
-    best = np.full(T, -np.inf)
-    winner = np.full(T, n)
-    a = 0
-    while a < n_live:
-        # a block is a rectangle of anchors [a, b) by right ends [c0, n)
-        c0 = j0[0, a]
-        width = n - c0
-        b = min(n_live, a + max(1, _SCAN_CELLS // width))
-        counts = pref[c0 + 1 :] - pref[a:b, None]
-        values = xs[c0:] - xs[a:b, None]
-        # counts / lengths**s in place; cells left of an anchor's own first
-        # admissible right end are never read
+        L = i.shape[0]
+        # the batch's two tables are kept: tables freed per batch come back as
+        # fresh pages, which made a near-tied scan 1.4-2.3 times as slow
+        size = L * L * len(a0)
+        if scratch.size < 2 * size:
+            scratch = np.empty(2 * size)
+        counts, values = scratch[: 2 * size].reshape(2, L, L, len(a0))
+        # cells on or left of the diagonal hold garbage; no threshold reads them
+        np.subtract(xs[j], xs[i], out=values)
+        np.subtract(pref[j + 1], pref[i], out=counts)
         with np.errstate(divide="ignore", invalid="ignore"):
             values **= s
             np.divide(counts, values, out=values)
-        values = values.ravel()
-        # run t of an anchor holds its right ends in [j0[t], j0[t + 1]) and
-        # the last run ends at the row's end; each row closes with a dead run
-        # over the next row's unread cells.  Runs that start at the block's
-        # end are empty and stay out of reduceat, which cannot index there.
-        edges = np.empty((b - a, T + 1), dtype=np.int64)
-        edges[:, :T] = (j0[:, a:b] - c0).T
-        edges[:, T] = width
-        edges = (edges + width * np.arange(b - a)[:, None]).ravel()
-        inside = int(np.searchsorted(edges, values.size))
-        runs = np.full(edges.size, -np.inf)
-        runs[:inside] = np.maximum.reduceat(values, edges[:inside])
-        runs[:-1][edges[1:] == edges[:-1]] = -np.inf
-        # threshold t admits runs t..T-1: a suffix maximum, per anchor
-        runs = runs.reshape(b - a, T + 1)[:, T - 1 :: -1]
-        row_best = np.maximum.accumulate(runs, axis=1)[:, ::-1].T
-        # best[t] as it stood before each anchor; the bound only falls and
-        # best only rises, so a threshold pruned once stays pruned
-        before = np.maximum.accumulate(
-            np.concatenate([best[:, None], row_best[:, :-1]], axis=1), axis=1
-        )
-        pruned = (total - pref[a:b]) / r_pow <= before
-        done = pruned.any(axis=1)
-        cut = np.where(done, pruned.argmax(axis=1), b - a)
-        row_best[np.arange(b - a) >= cut[:, None]] = -np.inf
-        top = row_best.max(axis=1)
-        gain = top > best
-        best[gain] = top[gain]
-        winner[gain] = a + row_best.argmax(axis=1)[gain]
-        if done.all():
-            break
-        a = b
+        head = values.max(axis=1)
+        peak = head.max(axis=0)
+        full = j0[:, a1 - 1] <= b0
+        pair = np.where(full, peak, -np.inf)
+        t, tile = np.nonzero(~full & (j0[:, a0] < b1))
+        if len(t):
+            some, inv = np.unique(tile, return_inverse=True)
+            suffix = values[:, :, some]
+            step = 1
+            while step < L:
+                np.maximum(suffix[:, :-step], suffix[:, step:], out=suffix[:, :-step])
+                step *= 2
+            # a row's suffix from its first admissible right end; a right end
+            # past the tile's last, repeated or not, admits none of the row
+            col = j0[t[:, None], i[:, 0, tile].T] - b0[tile, None]
+            rows = suffix[np.arange(L), np.clip(col, 0, L - 1), inv[:, None]]
+            rows[col >= (b1 - b0)[tile, None]] = -np.inf
+            pair[t, tile] = rows.max(axis=1)
+        m = pair.max(axis=1)
+        np.maximum(best, m, out=best)
+        # only a larger value, or a tie at an earlier anchor, changes a winner
+        gain = (m > top) | ((m == top) & (winner > a0.min()))
+        if not gain.any():
+            return
+        first = np.where(full, a0 + (head == peak).argmax(axis=0), n)
+        if len(t):
+            first[t, tile] = i[(rows == pair[t, tile][:, None]).argmax(axis=1), 0, tile]
+        first = np.where(pair == m[:, None], first, n).min(axis=1)
+        gain &= (m > top) | (first < winner)
+        top[gain], winner[gain] = m[gain], first[gain]
+
+    _tile_search(n, _SCAN_CELLS, drop, leaves, limit, "s-density scan")
+    winner[top == -np.inf] = n
     return winner
 
 

@@ -223,7 +223,7 @@ def test_cantor_dominance_past_the_cap_exits_1_within_seconds():
 
 
 def test_sdensity_of_a_near_tied_tile_past_the_cap_exits_1_within_seconds(pair_file):
-    # at s = 1 the doubling tile prunes almost nothing; its pass would visit 5e11 cells
+    # at s = 1 the doubling tile prunes almost nothing; it holds 5e11 admissible intervals
     result = subprocess.run(
         [sys.executable, "-m", "selfaffine", "sdensity", "--pair", pair_file(DOUBLING),
          "--level", "20"],
@@ -233,6 +233,15 @@ def test_sdensity_of_a_near_tied_tile_past_the_cap_exits_1_within_seconds(pair_f
     assert result.stderr.startswith("error: s-density scan: ")
     assert result.stderr.endswith(" cells exceed cap 16777216\n")
     assert result.stdout == ""
+
+
+def test_sdensity_of_a_near_tied_tile_at_level_12_runs_under_the_default_cap(pair_file):
+    result = run("sdensity", "--pair", pair_file(DOUBLING), "--level", "12")
+    assert result.returncode == 0
+    lines = result.stdout.splitlines()
+    assert lines[1].endswith(" cap=16777216")
+    assert lines[5] == "r,sup_count,sup_value,argmax_lo,argmax_hi"
+    assert len(lines) == 6 + 9
 
 
 def test_cantor_dominance():

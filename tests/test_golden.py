@@ -20,6 +20,7 @@ PAIRS = {
     "collider3": "dim 3\nmatrix\n3 0 0\n0 3 0\n0 0 3\ndigits\n0 0 0\n1 0 0\n3 0 0\n",
     "evengrid": "dim 2\nmatrix\n2 0\n0 2\ndigits\n0 0\n2 0\n0 2\n2 2\n",
     "diagonal": "dim 2\nmatrix\n1 -1\n1 1\ndigits\n0 0\n1 1\n",
+    "seven": "dim 1\nmatrix\n7\ndigits\n0\n1\n5\n",
 }
 
 # (argv with {pair} placeholders, sha256 of stdout[, test id])
@@ -139,7 +140,14 @@ CORPUS = [
     (("cantor", "--N", "4", "--d", "3", "--op", "dominance", "--level", "8"),
      "5e2bf88a73bb85d991d2c384027e3289f94baf0d95892e1b2ed9f60e18e6a8ee"),
     (("cantor", "--N", "3.5", "--d", "1", "--op", "dominance", "--level", "7"),
-     "fa8495d336344796c04b635e89b55212f4e2b9fe8f1d956815981ad07fb3aa78"),
+     "fa8495d336344796c04b635e89b55212f4e2b9fe8f1d956815981ad07fb3aa78"),    # s-densities off the two-digit Cantor family: a near-tied set at s = 1,
+    # whose tile bounds prune almost nothing, and a three-digit pair
+    (("sdensity", "{doubling}", "--level", "10"),
+     "0b4eb3c92a072b8f7ab10c268bfcb5a1edf47a80f1da67e1b88d08ec6f3c0f93",
+     "sdensity doubling --level 10"),
+    (("sdensity", "{seven}", "--level", "6"),
+     "7d0250fa9553569359b5b4236e6508c17886a3d1028ff7ea107bc8a1ce9dd244",
+     "sdensity seven --level 6"),
 ]
 
 

@@ -1,6 +1,7 @@
 """Interval s-density scans, discrete convolution, sampling, renormalization."""
 
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -12,6 +13,7 @@ from oracles import chaos_game_1d_block_by_block, check_renormalization_every_po
 from strategies import small_pairs
 
 from selfaffine import (
+    DEFAULT_CAP,
     BudgetExceeded,
     DimensionMismatch,
     UnsupportedDimension,
@@ -51,7 +53,7 @@ def brute_sdensity(pts, s, r):
 
 
 def loop_sdensity(pts, s, thresholds, level=None):
-    """The per-threshold anchor loop the one-pass scan replaced, kept verbatim."""
+    """The original per-threshold anchor loop, kept verbatim as the reference."""
     xs = pts.coords()
     pref = prefix_weights(pts)
     total = pref[-1]
@@ -431,18 +433,19 @@ def scan_cases(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(scan_cases(), st.integers(1, 64))
-def test_one_pass_scan_equals_threshold_loop(case, cells):
+@given(case=scan_cases(), cells=st.integers(1, 64), leaf=st.sampled_from([1, 2, 4]))
+def test_tile_search_equals_threshold_loop(case, cells, leaf):
     pts, s, thresholds = case
     with pytest.MonkeyPatch.context() as mp:
-        # a few cells per block, so one scan spans many blocks
+        # small leaves and batches, so one search spans many levels and batches
+        mp.setattr(pointset, "_LEAF", leaf)
         mp.setattr(sdensity, "_SCAN_CELLS", cells)
         got = upper_s_density_profile(pts, s, thresholds, level=3)
     assert got == loop_sdensity(pts, s, thresholds, level=3)
 
 
 @pytest.mark.parametrize("cells", [1, 37, 2**16])
-def test_one_pass_scan_equals_threshold_loop_on_cantor(cantor_pair_32, monkeypatch, cells):
+def test_search_batches_equal_threshold_loop_on_cantor(cantor_pair_32, monkeypatch, cells):
     monkeypatch.setattr(sdensity, "_SCAN_CELLS", cells)
     for k in range(1, 10):
         pts = expand_level(cantor_pair_32, k)
@@ -451,29 +454,9 @@ def test_one_pass_scan_equals_threshold_loop_on_cantor(cantor_pair_32, monkeypat
         assert got == loop_sdensity(pts, S_CANTOR, thresholds, level=k)
 
 
-#: Shares of the one-pass scan's cells that force the tile search to finish,
-#: or to give way to the scan before any work; "default" keeps the package's.
-SEARCH_MODES = {"search": math.inf, "fallback": 0.0, "default": sdensity._SEARCH_SHARE}
-
-
-@pytest.mark.parametrize("mode", SEARCH_MODES)
-@settings(max_examples=300, deadline=None)
-@given(case=scan_cases(), cells=st.integers(1, 64), leaf=st.sampled_from([1, 2, 4]))
-def test_tile_search_equals_threshold_loop(mode, case, cells, leaf):
-    pts, s, thresholds = case
-    with pytest.MonkeyPatch.context() as mp:
-        # small leaves and batches, so one search spans many levels and batches
-        mp.setattr(pointset, "_LEAF", leaf)
-        mp.setattr(sdensity, "_SCAN_CELLS", cells)
-        mp.setattr(sdensity, "_SEARCH_SHARE", SEARCH_MODES[mode])
-        got = upper_s_density_profile(pts, s, thresholds, level=3)
-    assert got == loop_sdensity(pts, s, thresholds, level=3)
-
-
 @pytest.mark.parametrize("leaf", [1, 2, 8])
 def test_tile_search_equals_threshold_loop_on_cantor(cantor_pair_32, monkeypatch, leaf):
     monkeypatch.setattr(pointset, "_LEAF", leaf)
-    monkeypatch.setattr(sdensity, "_SEARCH_SHARE", math.inf)
     for k in range(1, 10):
         pts = expand_level(cantor_pair_32, k)
         thresholds = [*natural_thresholds(pts), 2.0, 26.0, 3.0**k - 1]
@@ -482,7 +465,7 @@ def test_tile_search_equals_threshold_loop_on_cantor(cantor_pair_32, monkeypatch
 
 
 def _pass_cells(pts, thresholds):
-    """Cells the one-pass scan visits: every right end admissible at the smallest threshold."""
+    """Cells a pass over every interval visits: each right end admissible at the smallest threshold."""
     xs = pts.coords()
     r = min(thresholds) * (1.0 - sdensity.THRESHOLD_TOL)
     return int((len(xs) - np.searchsorted(xs, xs + r, side="left")).sum())
@@ -497,7 +480,7 @@ def test_cantor_search_evaluates_under_a_percent_of_the_pass(cantor_pair_32, til
     assert finished and work < 0.01 * _pass_cells(pts, thresholds)
 
 
-def test_near_tied_search_gives_way_within_a_quarter_of_the_pass(doubling_pair, tile_work):
+def test_near_tied_search_finishes_at_level_12_under_the_default_cap(doubling_pair, tile_work):
     # at s = 1 every long interval of the doubling tile is within a point of
     # the best, so bounds prune almost nothing
     runs = tile_work(sdensity)
@@ -505,33 +488,34 @@ def test_near_tied_search_gives_way_within_a_quarter_of_the_pass(doubling_pair, 
     thresholds = natural_thresholds(pts)
     got = upper_s_density_profile(pts, 1.0, thresholds)
     [(work, limit, finished)] = runs
-    assert not finished and work <= limit <= 0.25 * _pass_cells(pts, thresholds)
+    assert finished and work <= limit == DEFAULT_CAP
     assert got == loop_sdensity(pts, 1.0, thresholds)
 
 
-def test_near_tied_scan_past_the_cap_is_refused_before_the_pass(doubling_pair, tile_work, monkeypatch):
-    def scanned(*args):
-        raise AssertionError("the one-pass scan ran")
-
-    monkeypatch.setattr(sdensity, "_pass_winners", scanned)
+def test_near_tied_search_past_the_cap_is_refused(doubling_pair, tile_work):
     runs = tile_work(sdensity)
     pts = expand_level(doubling_pair, 10)
     thresholds = natural_thresholds(pts)
-    cells = _pass_cells(pts, thresholds)
-    # the pass's cells pass the floor of 2**15; the search may spend that much and no more
-    with pytest.raises(BudgetExceeded, match=rf"s-density scan: {cells} cells exceed cap 32768"):
+    # a cap below the floor of 2**15 lets the search spend the floor and no more
+    with pytest.raises(BudgetExceeded) as refused:
         upper_s_density_profile(pts, 1.0, thresholds, cap=2**10)
     [(work, limit, finished)] = runs
     assert not finished and work <= limit == 2**15
+    spent = re.fullmatch(r"s-density scan: (\d+) tile bounds and leaf cells exceed cap 32768",
+                         str(refused.value))
+    assert spent and int(spent.group(1)) > 2**15
 
 
-def test_scan_within_the_cap_still_falls_back_to_the_pass(doubling_pair):
+def test_search_runs_at_a_cap_equal_to_its_work(doubling_pair, tile_work):
+    runs = tile_work(sdensity)
     pts = expand_level(doubling_pair, 10)
     thresholds = natural_thresholds(pts)
-    cap = _pass_cells(pts, thresholds)
+    upper_s_density_profile(pts, 1.0, thresholds)
+    [(cap, _, _)] = runs
+    assert cap > 2**15
     got = upper_s_density_profile(pts, 1.0, thresholds, cap=cap)
     assert got == loop_sdensity(pts, 1.0, thresholds)
-    with pytest.raises(BudgetExceeded, match="s-density scan"):
+    with pytest.raises(BudgetExceeded, match=rf"s-density scan: .* exceed cap {cap - 1}$"):
         upper_s_density_profile(pts, 1.0, thresholds, cap=cap - 1)
 
 
@@ -554,6 +538,21 @@ def test_level_12_scan_memory_is_bounded(cantor_pair_32):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_refused_near_tied_scan_memory_is_bounded(doubling_pair):
+    # the first right ends, one intp table of 9 x 2**16 entries (4.5 MiB), are
+    # built a threshold at a time, with no table-sized float temporaries
+    pts = expand_level(doubling_pair, 16)
+    thresholds = natural_thresholds(pts)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="s-density scan"):
+            upper_s_density_profile(pts, 1.0, thresholds, cap=2**15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_threshold_admitting_zero_length_interval_rejected():
