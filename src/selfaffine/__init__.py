@@ -94,6 +94,7 @@ from .pointset import (
     weight_in_interval,
 )
 from .sdensity import (
+    ChaosGame,
     MeasureSample,
     RenormCheck,
     SDensityEntry,

@@ -74,7 +74,7 @@ _FIRST_LINE_BLOCK = 2**10
 
 #: Largest span of sorted integer coordinates, as a multiple of their count,
 #: that a 1-D scan reads off a rank table (``_rank_table``).
-_TABLE_SPAN = 4
+_TABLE_SPAN = 8
 
 
 @dataclass(frozen=True)

@@ -44,10 +44,10 @@ from .errors import BudgetExceeded, ParseError, SelfAffineError, UnsupportedDime
 from .expansion import DEFAULT_CAP, _next_level, expand_level
 from .pairs import REGIME_TILE, SelfAffinePair, detect_similarity, validate_pair
 from .sdensity import (
+    ChaosGame,
     check_renormalization,
     hausdorff_from_sdensity,
     natural_thresholds,
-    sample_self_similar_measure,
     upper_s_density_profile,
 )
 
@@ -411,8 +411,8 @@ def _cmd_renorm_check(args) -> str:
             f"chaos game of {args.samples} samples after {args.burn_in} burn-in steps"
             f" exceeds cap {args.cap}"
         )
-    sample = sample_self_similar_measure(pair, args.samples, args.seed, args.burn_in)
-    check = check_renormalization(pair, (lo, hi), args.steps, sample, args.cap)
+    game = ChaosGame(pair, args.samples, args.seed, args.burn_in)
+    check = check_renormalization(pair, (lo, hi), args.steps, game, args.cap)
     diff = abs(check.lhs - check.rhs)
     row = (check.lhs, check.rhs, check.stderr, diff, diff <= 3 * check.stderr)
     config = ("pair", "window", "steps", "samples", "seed", "burn_in", "cap")

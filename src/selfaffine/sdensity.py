@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beurling import _SCAN_CELLS, MeasureResult, _natural_ladder, _reciprocal_measure
-from .errors import DimensionMismatch, UnsupportedDimension
+from .errors import BudgetExceeded, DimensionMismatch, UnsupportedDimension
 from .expansion import DEFAULT_CAP, _check_budget, expand_level
 from .pairs import SelfAffinePair
 from .pointset import (
@@ -56,9 +56,17 @@ class MeasureSample:
     seed: int
     count: int
 
+    def __post_init__(self):
+        if np.ndim(self.points) != 2 or len(self.points) != self.count:
+            raise ValueError("points must be a 2-D array of count rows")
+
     @property
     def dim(self) -> int:
         return self.points.shape[1]
+
+    def blocks(self):
+        """The points as consecutive slices of ``_BLOCK**2`` rows, as ``ChaosGame`` yields them."""
+        return (self.points[a : a + _BLOCK**2] for a in range(0, len(self.points), _BLOCK**2))
 
 
 @dataclass(frozen=True)
@@ -264,41 +272,99 @@ def discrete_convolve(a: WeightedPointSet, b: WeightedPointSet) -> WeightedPoint
 _BLOCK = 128
 
 
-def _chaos_game_1d(binv: float, digits: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """All iterates of x -> binv * (x + d) from x0 = 0, evaluated blockwise.
+def _chaos_game_1d(binv: float, digits: np.ndarray, rng: np.random.Generator, steps: int):
+    """The iterates of x -> binv * (x + d) from x0 = 0, a square of ``_BLOCK**2`` at a time.
 
+    Each square draws its digit indices as the game reaches it; PCG64 gives
+    the same indices in such chunks as in one draw of all ``steps``.
     After t steps x_t = binv^t x_0 + sum_u binv^(t-u) d_u, so within a block
     of length L the iterates are one lower-triangular matrix-vector product
-    plus a carry term from the incoming state.  The full blocks go a square
-    of ``_BLOCK`` blocks at a time: one stacked ``matmul`` issues per block
-    the gemv that a separate ``tri @ blk`` issues, so each product keeps its
-    bits; the carries x_b = y_b[-1] + binv^L x_(b-1), a scalar recurrence,
-    run in Python with the same two roundings as the block's last iterate;
-    and the carry terms are added in place.  No digit array or temporary is
-    longer than a square.  A shorter last block is one product of its own.
+    plus a carry term from the incoming state.  A square's full blocks go
+    at once: one stacked ``matmul`` issues per block the gemv that a
+    separate ``tri @ blk`` issues, so each product keeps its bits; the
+    carries x_b = y_b[-1] + binv^L x_(b-1), a scalar recurrence, run in
+    Python with the same two roundings as the block's last iterate; and the
+    carry terms are added in place.  A shorter last block, in the last
+    square only, is one product of its own.
     """
-    steps = len(idx)
     t = np.arange(1, _BLOCK + 1)
     tri = np.tril(binv ** np.maximum(np.subtract.outer(t, t - 1), 1))
     pows = binv**t
     grow = float(pows[-1])
-    out = np.empty(steps)
     x = 0.0
-    end = steps - steps % _BLOCK
-    for start in range(0, end, _BLOCK**2):
-        stop = min(start + _BLOCK**2, end)
-        blocks = out[start:stop].reshape(-1, _BLOCK)
-        d = digits[idx[start:stop]].reshape(-1, _BLOCK, 1)
-        np.matmul(tri, d, out=blocks[:, :, None])
-        carry = []
-        for last in blocks[:, -1].tolist():
-            carry.append(x)
-            x = last + grow * x
-        blocks += np.multiply.outer(carry, pows)
-    if end < steps:
-        L = steps - end
-        out[end:] = tri[:L, :L] @ digits[idx[end:]] + pows[:L] * x
-    return out
+    for start in range(0, steps, _BLOCK**2):
+        size = min(_BLOCK**2, steps - start)
+        d = digits[rng.integers(0, len(digits), size=size)]
+        out = np.empty(size)
+        end = size - size % _BLOCK
+        if end:
+            blocks = out[:end].reshape(-1, _BLOCK)
+            np.matmul(tri, d[:end].reshape(-1, _BLOCK, 1), out=blocks[:, :, None])
+            carry = []
+            for last in blocks[:, -1].tolist():
+                carry.append(x)
+                x = last + grow * x
+            blocks += np.multiply.outer(carry, pows)
+        if end < size:
+            L = size - end
+            out[end:] = tri[:L, :L] @ d[end:] + pows[:L] * x
+        yield out
+
+
+def _chaos_game_nd(binv: np.ndarray, digits: np.ndarray, rng: np.random.Generator, steps: int):
+    """The iterates of x -> binv (x + d) from the origin, stepped one by one and
+    yielded as ``_chaos_game_1d`` yields them, a square of ``_BLOCK**2`` rows at a time."""
+    shifts = digits @ binv.T
+    x = np.zeros(len(binv))
+    for start in range(0, steps, _BLOCK**2):
+        idx = rng.integers(0, len(digits), size=min(_BLOCK**2, steps - start))
+        out = np.empty((len(idx), len(x)))
+        for t, i in enumerate(idx.tolist()):
+            x = binv @ x + shifts[i]
+            out[t] = x
+        yield out
+
+
+@dataclass(frozen=True)
+class ChaosGame:
+    """A chaos-game sample of the normalized invariant measure, drawn as it is read.
+
+    ``blocks`` runs the game afresh on each call and yields the kept
+    iterates as (rows, dim) arrays, one square of ``_BLOCK**2`` steps at a
+    time, so no array of the sample's length is made.
+    ``sample_self_similar_measure`` stores the same iterates.
+    """
+
+    pair: SelfAffinePair
+    count: int
+    seed: int
+    burn_in: int = 64
+
+    def __post_init__(self):
+        if self.count < 1:
+            raise ValueError("count must be at least 1")
+        if self.burn_in < 0:
+            raise ValueError("burn_in must be nonnegative")
+
+    @property
+    def dim(self) -> int:
+        return self.pair.dim
+
+    def blocks(self):
+        """The iterates past the burn-in, as (rows, dim) arrays of at most ``_BLOCK**2`` rows."""
+        rng = np.random.default_rng(self.seed)
+        steps = self.burn_in + self.count
+        inv, digits = self.pair.matrix.inverse, self.pair.digits.vectors
+        if self.dim == 1:
+            game = _chaos_game_1d(float(inv[0, 0]), digits[:, 0], rng, steps)
+            squares = (square[:, None] for square in game)
+        else:
+            squares = _chaos_game_nd(inv, digits, rng, steps)
+        skip = self.burn_in
+        for square in squares:
+            if skip < len(square):
+                yield square[skip:]
+            skip = max(skip - len(square), 0)
 
 
 def sample_self_similar_measure(
@@ -314,27 +380,20 @@ def sample_self_similar_measure(
     Randomness comes from numpy's PCG64 generator seeded explicitly, which
     produces identical streams across platforms, so identical
     (seed, count, burn_in) yield identical samples bit for bit.
+
+    The iterates are read from the stream of ``ChaosGame``, a square of
+    ``_BLOCK**2`` steps at a time, into the output.  Each square draws its
+    digit indices as the game reaches it.  Chunked ``rng.integers`` draws
+    give the stream of one draw of all the steps, because PCG64 keeps the
+    spare half of a 64-bit output in its state.  So the sample equals that
+    of one draw, and no index array of the sample's length is made.
     """
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    if burn_in < 0:
-        raise ValueError("burn_in must be nonnegative")
-    rng = np.random.default_rng(seed)
-    steps = burn_in + count
-    idx = rng.integers(0, pair.m, size=steps)
-    if pair.dim == 1:
-        binv = float(pair.matrix.inverse[0, 0])
-        digits = pair.digits.vectors[:, 0]
-        points = _chaos_game_1d(binv, digits, idx)[burn_in:, None]
-    else:
-        binv = pair.matrix.inverse
-        shifts = pair.digits.vectors @ binv.T
-        x = np.zeros(pair.dim)
-        points = np.empty((count, pair.dim))
-        for t in range(steps):
-            x = binv @ x + shifts[idx[t]]
-            if t >= burn_in:
-                points[t - burn_in] = x
+    game = ChaosGame(pair, count, seed, burn_in)
+    points = np.empty((count, pair.dim))
+    start = 0
+    for block in game.blocks():
+        points[start : start + len(block)] = block
+        start += len(block)
     points.flags.writeable = False
     return MeasureSample(points=points, seed=seed, count=count)
 
@@ -343,11 +402,39 @@ def _in_box(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.all((points >= lo) & (points <= hi), axis=1)
 
 
+def _without_lone_rows(blocks):
+    """The row blocks, each one-row block joined to a neighbour when there is one.
+
+    numpy multiplies a one-row block by a matrix on its vector path, which
+    can round a 2-D product differently from the same row inside a larger
+    block; blocks of two rows and more agree with the whole product.
+    """
+    held = None
+    for block in blocks:
+        if held is None:
+            held = block
+        elif len(held) == 1 or len(block) == 1:
+            held = np.concatenate([held, block])
+        else:
+            yield held
+            held = block
+    if held is not None:
+        yield held
+
+
+def _std_in_place(a: np.ndarray) -> np.floating:
+    """``np.std(a, ddof=1)`` of a 1-D float array, with numpy's operations, in place on ``a``."""
+    n = len(a)
+    np.subtract(a, np.add.reduce(a) / n, out=a)
+    np.square(a, out=a)
+    return np.sqrt(np.add.reduce(a) / (n - 1))
+
+
 def check_renormalization(
     pair: SelfAffinePair,
     window,
     n_steps: int,
-    sample: MeasureSample,
+    sample: MeasureSample | ChaosGame,
     cap: int = DEFAULT_CAP,
 ) -> RenormCheck:
     """Monte Carlo check of the exact renormalization identity.
@@ -356,23 +443,41 @@ def check_renormalization(
     sigma(B^-N W) = m^-N * sum over level-N expansion points p of
     sigma(W - p), counted with multiplicity.  Both sides are estimated on
     the same sample; ``stderr`` is the paired standard error of their
-    difference.  ``window`` is an axis box given as (lo, hi) vectors of
-    finite bounds, one per axis (plain floats in dimension 1).
+    difference, so the sample needs at least 2 points.  ``window`` is an
+    axis box given as (lo, hi) vectors of finite bounds, one per axis
+    (plain floats in dimension 1).
+
+    The sample is read block by block: slices of ``_BLOCK**2`` rows of a
+    ``MeasureSample``, or the squares of a ``ChaosGame`` as it is drawn, so
+    that the check of a game never holds the sample.  A one-row block is
+    joined to a neighbour (``_without_lone_rows``), so that each block's
+    product with B^N has the bits of the whole sample's.  The left-hand
+    indicator goes into one bool array, and the right-hand values into one
+    float array.
 
     For a fixed p, x -> fl(x + p) is monotone on each axis, so the shifted
-    per-axis extremes of the sample bound every shifted sample.  A point
-    whose bounds miss the window on some axis adds nothing and is skipped;
-    one whose bounds lie inside the window on every axis adds its weight to
-    every sample; only the points in between test each sample.  A NaN
-    extreme passes neither test and falls through to the per-sample test.
-    Each entry of the right-hand sum is a sum of integer weights below
-    2**53, exact in any order, so the results are those of testing every
-    point.
+    per-axis extremes of a block bound every shifted sample in it.  Each
+    block classifies every point p at once: one whose bounds miss the
+    window on some axis adds nothing; the weights of those whose bounds lie
+    inside the window on every axis are added to the block once; only the
+    points in between test each sample.  A NaN extreme passes neither test
+    and falls through to the per-sample test.  Each entry of the right-hand
+    sum is a sum of integer weights below 2**53, exact in any order, so the
+    results are those of testing every point.  The standard deviation is
+    ``np.std(diff, ddof=1)`` computed in place on the difference
+    (``_std_in_place``), with the same bits.
+
+    The box tests, one per point p and block plus one per straddling point
+    and sample of the block, are counted before each block runs them; past
+    ``cap``, or ``_MIN_BUDGET`` if that is more, the check raises
+    ``BudgetExceeded``.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
     if sample.dim != pair.dim:
         raise DimensionMismatch("sample dimension differs from pair dimension")
+    if sample.count < 2:
+        raise ValueError("the paired standard error needs at least 2 samples")
     _check_budget(pair.m, n_steps, cap)
     try:
         lo, hi = window
@@ -388,21 +493,28 @@ def check_renormalization(
         raise ValueError("window must have positive extent on every axis")
 
     mu = expand_level(pair, n_steps, cap)
-    x = sample.points
     bn = np.linalg.matrix_power(pair.matrix.entries, n_steps)
-    lhs_ind = _in_box(x @ bn.T, lo, hi)
-    f = np.zeros(len(x))
-    xmin, xmax = x.min(axis=0), x.max(axis=0)
-    for p, w in zip(mu.points, mu.weights):
-        low, high = xmin + p, xmax + p
-        if np.any((high < lo) | (low > hi)):
-            continue
-        if np.all((low >= lo) & (high <= hi)):
-            f += w
-        else:
-            np.add(f, w, out=f, where=_in_box(x + p, lo, hi))
+    lhs_ind = np.empty(sample.count, dtype=bool)
+    f = np.zeros(sample.count)
+    limit = max(cap, _MIN_BUDGET)
+    tests = start = 0
+    for x in _without_lone_rows(sample.blocks()):
+        stop = start + len(x)
+        low, high = x.min(axis=0) + mu.points, x.max(axis=0) + mu.points
+        inside = np.all((low >= lo) & (high <= hi), axis=1)
+        straddle = ~(inside | np.any((high < lo) | (low > hi), axis=1))
+        tests += len(mu) + int(np.count_nonzero(straddle)) * len(x)
+        if tests > limit:
+            raise BudgetExceeded(f"renormalization check: {tests} box tests exceed cap {cap}")
+        lhs_ind[start:stop] = _in_box(x @ bn.T, lo, hi)
+        fx = f[start:stop]
+        if inside.any():
+            fx += mu.weights[inside].sum()
+        for p, w in zip(mu.points[straddle], mu.weights[straddle]):
+            np.add(fx, w, out=fx, where=_in_box(x + p, lo, hi))
+        start = stop
     f /= float(pair.m**n_steps)
     lhs, rhs = float(lhs_ind.mean()), float(f.mean())
     diff = np.subtract(lhs_ind, f, out=f)
-    stderr = float(np.std(diff, ddof=1) / np.sqrt(len(x)))
+    stderr = float(_std_in_place(diff) / np.sqrt(sample.count))
     return RenormCheck(lhs=lhs, rhs=rhs, stderr=stderr)

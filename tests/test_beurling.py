@@ -771,13 +771,13 @@ def test_rank_table_equals_counting_formula(case):
 
 
 def test_rank_table_limit():
-    values = np.array([-3.0, 7.0, 8.0, 17.0])
-    # span 21, above the default limit of 4 * 4
+    values = np.array([-3.0, 7.0, 8.0, 29.0])
+    # span 33, above the default limit of 8 * 4
     assert beurling._rank_table(values) is None
-    assert beurling._rank_table(values, 20) is None
-    table = beurling._rank_table(values, 21)
+    assert beurling._rank_table(values, 32) is None
+    table = beurling._rank_table(values, 33)
     assert table.dtype == np.int32
-    assert np.array_equal(table, np.searchsorted(values, values[0] + np.arange(22)))
+    assert np.array_equal(table, np.searchsorted(values, values[0] + np.arange(34)))
 
 
 def test_rank_table_selection(doubling_pair, cantor_pair_32):

@@ -441,7 +441,7 @@ def test_renorm_check_refuses_a_chaos_game_beyond_cap_before_sampling(pair_file,
     def sampled(*args):
         raise AssertionError("the chaos game ran")
 
-    monkeypatch.setattr(cli, "sample_self_similar_measure", sampled)
+    monkeypatch.setattr(cli, "ChaosGame", sampled)
     path = pair_file(CANTOR)
     window = ["--pair", path, "--window", "0,2", "--steps", "1", "--seed", "7"]
     assert main(["renorm-check", *window, "--samples", "1000000000"]) == 1
@@ -454,6 +454,32 @@ def test_renorm_check_refuses_a_chaos_game_beyond_cap_before_sampling(pair_file,
     ]
     monkeypatch.undo()
     assert main(["renorm-check", *window, "--samples", "100", "--cap", "164"]) == 0
+
+
+def test_renorm_check_of_one_sample_is_a_domain_error(pair_file):
+    for text, window in [(CANTOR, "0,2"), (DRAGON, "-0.3,0.4,-0.2,0.5")]:
+        result = run("renorm-check", "--pair", pair_file(text), f"--window={window}",
+                     "--steps", "1", "--samples", "1", "--seed", "7")
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr == "error: the paired standard error needs at least 2 samples\n"
+
+
+def test_renorm_check_holds_no_sample(pair_file, capsys):
+    path = pair_file(CANTOR)
+    argv = ["renorm-check", "--pair", path, "--window", "0,0.5", "--steps", "4", "--seed", "7"]
+    assert main([*argv, "--samples", "1000"]) == 0  # first-call allocations stay out
+    tracemalloc.start()
+    try:
+        assert main([*argv, "--samples", "1000000"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    # the bool left-hand indicator and the float right-hand values (8.6 MiB)
+    # and one square's temporaries; the 7.6 MiB sample, or a float copy of
+    # it, would show
+    assert peak <= 12 * 2**20
 
 
 def test_raster_resolution_beyond_cap_is_domain_error(pair_file):

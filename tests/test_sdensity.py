@@ -31,7 +31,7 @@ from selfaffine import (
 )
 from selfaffine import pointset
 from selfaffine.pointset import prefix_weights
-from selfaffine.sdensity import MeasureSample
+from selfaffine.sdensity import ChaosGame, MeasureSample
 
 S_CANTOR = math.log(2) / math.log(3)
 
@@ -580,7 +580,9 @@ def test_chaos_game_equals_block_by_block_loop(b, digits, steps):
     binv = float(pair.matrix.inverse[0, 0])
     vectors = pair.digits.vectors[:, 0]
     idx = np.random.default_rng(steps).integers(0, pair.m, size=steps)
-    got = sdensity._chaos_game_1d(binv, vectors, idx)
+    # the stream draws its indices square by square from the same seed
+    game = sdensity._chaos_game_1d(binv, vectors, np.random.default_rng(steps), steps)
+    got = np.concatenate(list(game))
     # bit for bit, signed zeros included
     assert got.tobytes() == chaos_game_1d_block_by_block(binv, vectors, idx).tobytes()
 
@@ -659,6 +661,93 @@ def test_renorm_tests_only_the_points_whose_shifted_sample_straddles_the_window(
     assert calls == [10_000, 10_000]
 
 
+def test_renorm_with_every_shifted_block_inside_makes_only_the_left_hand_test(
+    cantor_pair_32, monkeypatch
+):
+    calls = []
+    in_box = sdensity._in_box
+
+    def counting(points, lo, hi):
+        calls.append(len(points))
+        return in_box(points, lo, hi)
+
+    monkeypatch.setattr(sdensity, "_in_box", counting)
+    sample = sample_self_similar_measure(cantor_pair_32, 10_000, seed=3)
+    # the level-3 points lie in [0, 26], so every shifted sample lies in [0, 27]
+    check = check_renormalization(cantor_pair_32, (-1.0, 30.0), 3, sample)
+    assert calls == [10_000]
+    assert check.lhs == check.rhs == 1.0
+
+
+def test_renorm_refuses_box_tests_past_the_cap_before_running_them(doubling_pair, monkeypatch):
+    sample = sample_self_similar_measure(doubling_pair, 20_000, seed=3)
+
+    def refused(points, lo, hi):
+        raise AssertionError("a box test ran")
+
+    monkeypatch.setattr(sdensity, "_in_box", refused)
+    # p = 0 and p = 1 both straddle the window: the first block's 2 + 2 * 16384
+    # tests pass the 2**15 floor
+    with pytest.raises(BudgetExceeded, match=r"^renormalization check: 32770 box tests exceed cap 1024$"):
+        check_renormalization(doubling_pair, (0.5, 1.5), 1, sample, cap=2**10)
+    monkeypatch.undo()
+    # both blocks: 32770 + 2 + 2 * 3616 tests
+    check_renormalization(doubling_pair, (0.5, 1.5), 1, sample, cap=40_004)
+    with pytest.raises(BudgetExceeded, match="40004 box tests exceed cap 40003"):
+        check_renormalization(doubling_pair, (0.5, 1.5), 1, sample, cap=40_003)
+
+
+def test_renorm_of_one_sample_is_refused(cantor_pair_32):
+    sample = sample_self_similar_measure(cantor_pair_32, 1, seed=0)
+    for drawn in (sample, ChaosGame(cantor_pair_32, 1, seed=0)):
+        with pytest.raises(ValueError, match="the paired standard error needs at least 2 samples"):
+            check_renormalization(cantor_pair_32, (0.0, 0.5), 1, drawn)
+
+
+def test_sample_of_another_count_than_its_points_is_refused():
+    for points, count in [(np.zeros((3, 1)), 4), (np.zeros(3), 3)]:
+        with pytest.raises(ValueError, match="points must be a 2-D array of count rows"):
+            MeasureSample(points=points, seed=0, count=count)
+
+
+def test_renorm_of_one_row_blocks_equals_every_point_check():
+    # a non-integral B**2, whose one-row products can round apart from the whole
+    # product's rows: burn-in 16384 leaves a one-row last block for slices and
+    # for the stream, and burn-in 16383 a one-row first block for the stream
+    pair = validate_pair([[1.3, -0.7], [0.6, 1.55]], [[0.0, 0.0], [1.0, 0.25], [-0.5, 0.75]])
+    bn = np.linalg.matrix_power(pair.matrix.entries, 2)
+    for burn_in, count in [(16384, 16385), (16383, 16386)]:
+        sample = sample_self_similar_measure(pair, count, seed=19, burn_in=burn_in)
+        game = ChaosGame(pair, count, seed=19, burn_in=burn_in)
+        y = sample.points @ bn.T
+        # window edges on the whole product's first and last rows
+        for row in (y[0], y[-1]):
+            for window in [(row, row + 1.0), (row - 1.0, row)]:
+                expected = check_renormalization_every_point(pair, window, 2, sample)
+                assert check_renormalization(pair, window, 2, sample) == expected
+                assert check_renormalization(pair, window, 2, game) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 10**5),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["normal", "indicator", "wide"]),
+)
+def test_std_in_place_equals_numpy_std(n, seed, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "normal":
+        a = rng.normal(rng.uniform(-1e6, 1e6), rng.uniform(1e-6, 1e3), size=n)
+    elif kind == "indicator":
+        # as in the renormalization check: a 0-1 indicator minus weights over m**N
+        a = rng.integers(0, 2, size=n) - rng.integers(0, 17, size=n) / 16.0
+    else:
+        a = rng.lognormal(0.0, 20.0, size=n) * rng.choice([-1.0, 1.0], size=n)
+    expected = np.std(a, ddof=1)
+    got = sdensity._std_in_place(a.copy())
+    assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+
 def sampler_and_renorm_peaks(pair):
     """The 10**6-sample sample and the peaks of sampling it and of checking it, sample held."""
     sample_self_similar_measure(pair, 1000, seed=7)  # first-call allocations stay out
@@ -692,3 +781,10 @@ def test_sampler_returns_a_view_and_renorm_keeps_a_bool_indicator(cantor_pair_32
     assert sample.points.flags.c_contiguous and not sample.points.flags.writeable
     assert sampled <= 16.5 * 2**20
     assert checked <= 27 * 2**20
+
+
+def test_sampler_holds_its_output_and_one_square(cantor_pair_32):
+    _, sampled, _ = sampler_and_renorm_peaks(cantor_pair_32)
+    # the 7.6 MiB output and one square's indices, digits and iterates
+    # (0.4 MiB); an index array of the sample's length adds 7.6 MiB
+    assert sampled <= 9 * 2**20
