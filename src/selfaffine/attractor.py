@@ -19,9 +19,11 @@ import numpy as np
 
 from .beurling import (
     DensityEstimate,
+    WindowSchedule,
     _require_dim,
     natural_schedule,
     trend_divergent,
+    trend_sizes,
     upper_density_profile,
 )
 from .errors import (
@@ -345,7 +347,9 @@ def osc_verdict(pair: SelfAffinePair, k: int, cap: int = DEFAULT_CAP) -> OscRepo
     witness.  Otherwise the verdict is consistent-with-OSC when the minimum
     separation has stabilized (last three levels equal within tolerance)
     and the natural-scale density profile is bounded; undetermined when the
-    evidence is mixed.
+    evidence is mixed.  The profile is scanned at the natural sizes that
+    ``trend_divergent`` reads (``trend_sizes``): the first and the last
+    three.
 
     Levels 1..k come from one ``expand_levels`` stream, each built once
     from the one before.  Separations are exact; on integer points with two
@@ -395,7 +399,8 @@ def osc_verdict(pair: SelfAffinePair, k: int, cap: int = DEFAULT_CAP) -> OscRepo
     else:
         seps = [s for _, s in separations]
         stabilized = len(seps) >= 3 and max(seps[-3:]) - min(seps[-3:]) <= SEPARATION_TOL
-        profile = upper_density_profile(pts, natural_schedule(pts), level=k)
+        sizes = trend_sizes(natural_schedule(pts).sizes)
+        profile = upper_density_profile(pts, WindowSchedule(sizes), level=k)
         bounded = not trend_divergent([e.sup_value for e in profile.entries])
         if not bounded:
             verdict = VERDICT_FAILS

@@ -24,7 +24,8 @@ have, since later windows could only tie it.
 A 1-D window's count is a difference of prefix weights at its two edges,
 each found by one search of the sorted coordinates (a rank-table read or a
 binary search, see below); the lower scan searches the merged coordinates
-of a level and its next level once for both.  In 2-D, with the points in
+of a level and its next level once for both, which are the next level's
+own when they hold the level's.  In 2-D, with the points in
 order of x, those whose x lies in the window form a slab, a contiguous run
 of rows, and as the window moves right both ends of the run only advance.
 Canonical 2-D order is merge-key order, which can put a point before one of
@@ -50,6 +51,7 @@ unchanged.  Any other set, and every 2-D scan, keeps the binary search;
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -370,20 +372,39 @@ def _distinct(values):
     return v[np.concatenate([[True], v[1:] != v[:-1]])]
 
 
-def _merged_line(u, sets):
-    """The rank table of 1-D sets' sorted distinct coordinates ``u``, and each set's prefix weights.
+def _merged_line(sets):
+    """The sorted distinct coordinates of 1-D sets, their rank table, and each set's prefix weights.
 
-    Every coordinate of a set is among ``u``, so a set's weight below a
-    position of ``u`` is its weight below that value.  The rank table
-    (``_rank_table``) is None when ``u`` does not qualify for one.
+    Every coordinate of a set is on the line, so a set's weight below a
+    position of the line is its weight below that value.  The sets are a
+    level and, when given, its next level.  When every coordinate of the
+    first set is one of the last set's, as a level's are of its next
+    level's (0 is a digit), the line is the last set's coordinates: one
+    search of the first set's, which places them on the line, tells.  Such
+    a line differs from the merged one at most in the sign of a zero, which
+    no centre or count depends on.  Otherwise the line merges the
+    coordinates of all sets.  The rank table (``_rank_table``) is None when
+    the line does not qualify for one.
     """
-    table = _rank_table(u)
+    xs = sets[0].points[:, 0]
+    line = sets[-1].points[:, 0]
+    table = _rank_table(line)
+    at = _search(line, table, xs, "left")
+    # nondecreasing: within the line when its last position is
+    if at[-1] < len(line) and np.array_equal(line[at], xs):
+        places = [at] + [None] * (len(sets) - 1)  # None: the set's points are the line
+    else:
+        line = _distinct(np.concatenate([q.points[:, 0] for q in sets]))
+        table = _rank_table(line)
+        places = [_search(line, table, q.points[:, 0], "left") for q in sets]
     prefs = []
-    for q in sets:
-        w = np.zeros(len(u), dtype=np.int64)
-        w[_search(u, table, q.points[:, 0], "left")] = q.weights
+    for q, place in zip(sets, places):
+        w = q.weights
+        if place is not None:
+            w = np.zeros(len(line), dtype=np.int64)
+            w[place] = q.weights
         prefs.append(_prefix_sums(w))
-    return table, prefs
+    return line, table, prefs
 
 
 def _cut(values, table, centers, size):
@@ -410,18 +431,31 @@ def _center_blocks(u, size, zlo, zhi):
     first block, and the midpoint to ``zhi`` and ``zhi`` itself close the
     last.  Blocks take ``_FIRST_LINE_BLOCK`` low breaks at first and double
     up to ``_SCAN_CELLS``, so a scan that stops early builds little.
+
+    A block computes only its own breaks.  The ends of each run, and each
+    block's end in the high run, are bisections of ``u`` keyed by the
+    break, which rounds as the array arithmetic does and never decreases
+    along ``u``, so they find what searching the whole run would.
     """
-    a, b = (r[np.searchsorted(r, zlo, "right") : np.searchsorted(r, zhi, "left")]
-            for r in (u - size / 2, u + size / 2))
+    h = size / 2
+
+    def low(x):
+        return x - h
+
+    def high(x):
+        return x + h
+
+    i, i_end = bisect.bisect_right(u, zlo, key=low), bisect.bisect_left(u, zhi, key=low)
+    j, j_end = bisect.bisect_right(u, zlo, key=high), bisect.bisect_left(u, zhi, key=high)
     prev, head = zlo, [zlo]
-    i = j = 0
     step = min(_FIRST_LINE_BLOCK, _SCAN_CELLS)
     while True:
-        i1 = min(len(a), i + step)
-        j1 = len(b) if i1 == len(a) else int(np.searchsorted(b, a[i1], "left"))
-        grid = _distinct(np.concatenate([[prev], a[i:i1], b[j:j1]]))
+        i1 = min(i_end, i + step)
+        last = i1 == i_end
+        j1 = j_end if last else bisect.bisect_left(u, low(u[i1]), j, j_end, key=high)
+        grid = _distinct(np.concatenate([[prev], u[i:i1] - h, u[j:j1] + h]))
         prev = grid[-1]
-        tail = [(prev + zhi) / 2.0, zhi] if i1 == len(a) else []
+        tail = [(prev + zhi) / 2.0, zhi] if last else []
         centers = np.concatenate([head, (grid[:-1] + grid[1:]) / 2.0, tail])
         if len(centers):  # a block whose breaks all round to the carried one adds none
             yield centers
@@ -480,6 +514,38 @@ def _inf_blocks(merged, levels, size, radius, cap, offset):
         yield axes, counts[0] + offset * unstable
 
 
+def _lower_entry(pts, next_level_pts, cap):
+    """The one-time setup of a lower scan, and its ``entry(size, volume)`` per window size.
+
+    ``entry`` returns None for a size that exceeds the box.  See
+    ``lower_density_profile``.
+    """
+    dim = _require_dim(pts, "lower_density_profile")
+    if next_level_pts is not None and next_level_pts.dim != dim:
+        raise UnsupportedDimension("next_level_pts dimension differs")
+    radius = np.max(np.abs(pts.points), axis=0)
+    sets = [q for q in (pts, next_level_pts) if q is not None]
+    if dim == 1:
+        line, table, prefs = _merged_line(sets)
+        merged, levels = [line], (table, prefs)
+    else:
+        merged = [_distinct(np.concatenate([q.points[:, a] for q in sets])) for a in range(dim)]
+        levels = [(q, *np.unique(q.points[:, -1], return_inverse=True))
+                  for q in map(_x_ordered, sets)]
+    offset = pts.total_mass + 1
+    floor = 0 if next_level_pts is not None else offset
+
+    def entry(size, volume):
+        if np.any(2 * radius < size):
+            return None
+        rank, center = _first_least(_inf_blocks(merged, levels, size, radius, cap, offset), floor)
+        unstable, count = divmod(rank, offset)
+        return WindowEntry(size=size, inf_count=count, inf_value=count / volume,
+                           argmin_center=center, trusted=not unstable)
+
+    return entry
+
+
 def lower_density_profile(
     pts: WeightedPointSet,
     schedule: WindowSchedule,
@@ -499,10 +565,12 @@ def lower_density_profile(
     reported untrusted.  Sizes exceeding the box are skipped, and a size
     whose volume underflows to 0 or overflows raises ``ValueError``.
 
-    The distinct coordinates of both levels are merged once per axis for
-    all sizes, and each size builds its candidate centres from them block
-    by block (``_center_blocks``).  In 1-D both levels are scanned together
-    over the merged coordinates (``_merged_line``).  In 2-D the candidate
+    A one-time setup (``_lower_entry``) merges the distinct coordinates of
+    both levels once per axis for all sizes, and each size builds its
+    candidate centres from them block by block (``_center_blocks``).  In
+    1-D both levels are scanned together over one sorted line
+    (``_merged_line``), which is the next level's coordinates when they
+    include the level's, as an expansion's do.  In 2-D the candidate
     windows of one size grow with the square of the set (about 6.7 n^2 on
     an irrational set), so a size with more than ``cap`` of them raises
     ``BudgetExceeded`` before its sweep; in 1-D they grow linearly.  No
@@ -510,29 +578,29 @@ def lower_density_profile(
     (``_inf_blocks``), so a one-sided support whose box starts with a
     stable empty window costs one small block per size.
     """
-    dim = _require_dim(pts, "lower_density_profile")
-    if next_level_pts is not None and next_level_pts.dim != dim:
-        raise UnsupportedDimension("next_level_pts dimension differs")
-    radius = np.max(np.abs(pts.points), axis=0)
-    sets = [q for q in (pts, next_level_pts) if q is not None]
-    merged = [_distinct(np.concatenate([q.points[:, a] for q in sets])) for a in range(dim)]
-    if dim == 1:
-        levels = _merged_line(merged[0], sets)
-    else:
-        levels = [(q, *np.unique(q.points[:, -1], return_inverse=True))
-                  for q in map(_x_ordered, sets)]
-    offset = pts.total_mass + 1
-    floor = 0 if next_level_pts is not None else offset
+    return _profile(pts, schedule, level, _lower_entry(pts, next_level_pts, cap))
 
-    def entry(size, volume):
-        if np.any(2 * radius < size):
-            return None
-        rank, center = _first_least(_inf_blocks(merged, levels, size, radius, cap, offset), floor)
-        unstable, count = divmod(rank, offset)
-        return WindowEntry(size=size, inf_count=count, inf_value=count / volume,
-                           argmin_center=center, trusted=not unstable)
 
-    return _profile(pts, schedule, level, entry)
+def last_trusted_lower_profile(
+    pts: WeightedPointSet,
+    schedule: WindowSchedule,
+    next_level_pts: WeightedPointSet | None = None,
+    level: int | None = None,
+    cap: int = DEFAULT_CAP,
+) -> DensityEstimate:
+    """The lower profile (``lower_density_profile``) cut to its last trusted entry, or to none.
+
+    The sizes are scanned from the largest down, after every volume is
+    checked, and the scan stops at the first trusted entry, so a smaller
+    size is never scanned, nor counted against ``cap``.  The entry is the
+    one the full profile holds at its size.
+    """
+    entry = _lower_entry(pts, next_level_pts, cap)
+    volumes = _window_volumes(schedule, pts.dim)
+    found = (entry(size, volume) for size, volume in zip(schedule.sizes[::-1], volumes[::-1]))
+    last = next((e for e in found if e is not None and e.trusted), None)
+    return DensityEstimate(dim=pts.dim, entries=() if last is None else (last,),
+                           level=level, max_multiplicity=int(pts.weights.max()))
 
 
 def trend_divergent(values) -> bool:
@@ -541,6 +609,16 @@ def trend_divergent(values) -> bool:
     if len(vals) < 3:
         return False
     return vals[-3] < vals[-2] < vals[-1] and vals[-1] > 10 * vals[0]
+
+
+def trend_sizes(sizes: tuple[float, ...]) -> tuple[float, ...]:
+    """The sizes whose values ``trend_divergent`` reads: the first and the last three.
+
+    With 4 or fewer sizes that is all of them.  ``trend_divergent`` of the
+    values at these sizes equals it of the values at all sizes, and so does
+    the last value.
+    """
+    return sizes if len(sizes) <= 4 else (sizes[0], *sizes[-3:])
 
 
 def _reciprocal_measure(values: list[float], max_multiplicity: int) -> MeasureResult:

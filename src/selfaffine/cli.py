@@ -10,6 +10,7 @@ digits (``_cell``), and identical invocations produce byte-identical bytes
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import sys
@@ -28,9 +29,11 @@ from .attractor import (
 from .beurling import (
     WindowSchedule,
     _window_volumes,
+    last_trusted_lower_profile,
     lebesgue_from_density,
     lower_density_profile,
     natural_schedule,
+    trend_sizes,
     upper_density_profile,
 )
 from .cantor import (
@@ -252,10 +255,14 @@ def _cmd_check(args) -> str:
     return _report(args, ("pair", "level", "cap"), comments, body)
 
 
-def _profiles(pair, args):
+def _profiles(pair, args, verdict=False):
     """Schedule plus upper/lower profiles of the expansion on it.
 
     Level k + 1 is one more step from level k; past the budget it is None.
+    For a verdict the profiles hold only what ``classify_origin`` and
+    ``lebesgue_from_density`` read: the upper one the sizes of
+    ``trend_sizes``, the lower one its last trusted entry
+    (``last_trusted_lower_profile``).
     """
     pts = expand_level(pair, args.level, args.cap)
     schedule = WindowSchedule(
@@ -265,12 +272,14 @@ def _profiles(pair, args):
         _window_volumes(schedule, pts.dim)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    upper = upper_density_profile(pts, schedule, level=args.level)
+    upper_schedule = WindowSchedule(trend_sizes(schedule.sizes)) if verdict else schedule
+    upper = upper_density_profile(pts, upper_schedule, level=args.level)
     try:
         nxt = _next_level(pair, pts, args.level, args.cap)
     except BudgetExceeded:
         nxt = None
-    lower = lower_density_profile(pts, schedule, nxt, level=args.level, cap=args.cap)
+    lower_profile = last_trusted_lower_profile if verdict else lower_density_profile
+    lower = lower_profile(pts, schedule, nxt, level=args.level, cap=args.cap)
     return schedule, upper, lower
 
 
@@ -375,7 +384,7 @@ def _cmd_raster(args) -> str:
 
 def _cmd_classify_origin(args) -> str:
     pair = _load_pair(args.pair)
-    schedule, upper, lower = _profiles(pair, args)
+    schedule, upper, lower = _profiles(pair, args, verdict=True)
     measure = lebesgue_from_density(upper) if pair.regime == REGIME_TILE else None
     lebesgue = 0.0 if measure is None or measure.divergent else measure.value
     report = classify_origin(pair, upper, lower, lebesgue)
@@ -449,7 +458,9 @@ def _add_common(sub, pair=True, level=True):
 _SCHEDULE_HELP = "geo:a,b,c | lin:a,b,c | natural:c"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="selfaffine",
         description="Expansion, density, and attractor diagnostics for self-affine pairs.",

@@ -46,7 +46,9 @@ def _canonicalize(points: np.ndarray, weights: np.ndarray):
     means equal key, and both sorts keep input order among equals.  Its
     timsort merges presorted runs instead of sorting them again, so an input
     laid out as m sorted runs, as ``expansion._next_level`` builds it, costs
-    about one merge pass.
+    about one merge pass.  When no two sorted keys coincide, the points are
+    the sorted column itself, with no gather by group starts.  The weights
+    are returned as gathered or summed, with no further int64 copy.
     """
     if points.size and np.max(np.abs(points)) >= _MAX_ABS_COORD:
         raise ValueError(_MERGE_SCALE_ERROR)
@@ -56,7 +58,7 @@ def _canonicalize(points: np.ndarray, weights: np.ndarray):
         # kept as floats: integral values below 2**63 are equal exactly when their int64 casts are
         keys = np.round(xs / MERGE_TOL)
         starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
-        merged = xs[starts, None]
+        merged = xs.reshape(-1, 1) if len(starts) == len(xs) else xs[starts, None]
     else:
         keys = np.round(points / MERGE_TOL).astype(np.int64)
         # one sort by key, then by coordinates: each key group starts at its smallest member
@@ -67,7 +69,7 @@ def _canonicalize(points: np.ndarray, weights: np.ndarray):
     weights = weights[order]
     if len(starts) < len(weights):  # with nothing to merge, reduceat would only copy, group by group
         weights = np.add.reduceat(weights, starts)
-    return merged, weights.astype(np.int64)
+    return merged, weights.astype(np.int64, copy=False)
 
 
 class WeightedPointSet:

@@ -1,6 +1,7 @@
 """Raster covers, origin classification, and separation verdicts."""
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from selfaffine import (
     NoTrustedLowerEntry,
     NotATileCandidate,
     ResolutionTooSmall,
+    SelfAffineError,
     UnsupportedDimension,
     UnsupportedRegime,
     classify_origin,
@@ -33,6 +35,7 @@ from selfaffine import (
     upper_density_profile,
     validate_pair,
 )
+from selfaffine import attractor
 from selfaffine.attractor import DEFAULT_MAX_ITERS
 
 
@@ -295,7 +298,25 @@ class TestClassifyOrigin:
             classify_origin(doubling_pair, upper, untrusted, 1.0)
 
 
+def osc_outcome(pair, k):
+    """What ``osc_verdict`` reports, or the type and message of its typed failure."""
+    try:
+        r = osc_verdict(pair, k, cap=4096)
+    except (SelfAffineError, ValueError) as exc:
+        return type(exc), str(exc)
+    return (r.verdict, r.first_collision, r.min_separation_by_level,
+            r.separation_stabilized, r.density_bounded)
+
+
 class TestOscVerdict:
+    @settings(max_examples=60, deadline=None)
+    @given(small_pairs(), st.integers(1, 7))
+    def test_equals_the_verdict_over_the_full_natural_profile(self, pair, k):
+        got = osc_outcome(pair, k)
+        # the reference scans every natural size for trend_divergent
+        with mock.patch.object(attractor, "trend_sizes", lambda sizes: sizes):
+            assert got == osc_outcome(pair, k)
+
     def test_memory_is_bounded(self, twin_dragon_pair):
         osc_verdict(twin_dragon_pair, 3)  # first-call allocations stay out of the peak
         tracemalloc.start()

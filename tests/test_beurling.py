@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import _candidate_centers, rank_table_by_counting
+from strategies import small_pairs
 
 from selfaffine import (
     BudgetExceeded,
@@ -260,6 +261,16 @@ def test_trend_divergent_rules():
     assert not trend_divergent([1.0, 2.0, 3.0])  # grows but below 10x
     assert not trend_divergent([13.0, 12.0, 11.0])
     assert not trend_divergent([1.0, 2.0])
+
+
+@given(st.lists(st.floats(0, 100), max_size=12))
+def test_trend_sizes_hold_what_trend_divergent_reads(values):
+    sizes = tuple(float(i + 1) for i in range(len(values)))
+    kept = beurling.trend_sizes(sizes)
+    assert kept == (sizes if len(sizes) <= 4 else (sizes[0], *sizes[-3:]))
+    read = [values[sizes.index(s)] for s in kept]
+    assert trend_divergent(read) == trend_divergent(values)
+    assert read[-1:] == values[-1:]
 
 
 def test_lebesgue_reciprocal(doubling_pair):
@@ -550,6 +561,56 @@ def test_merged_line_scan_equals_slab_loops(case):
     assert got[1].entries
 
 
+def always_merged_line(sets):
+    """``beurling._merged_line`` that merges the sets' coordinates even when one holds the other's."""
+    line = beurling._distinct(np.concatenate([q.points[:, 0] for q in sets]))
+    prefs = []
+    for q in sets:
+        w = np.zeros(len(line), dtype=np.int64)
+        w[np.searchsorted(line, q.points[:, 0])] = q.weights
+        prefs.append(_prefix_sums(w))
+    return line, beurling._rank_table(line), prefs
+
+
+# lines that are not the merged line: a next level that lacks a point of
+# the level, and one that holds 0.0 where the level, and so the merged
+# line, holds -0.0
+NESTING_CASES = {
+    "next-lacks-a-point": ([-3.0, -1.0, 0.0, 1.0, 2.0], [1, 1, 2, 1, 1],
+                           [-3.0, -2.0, -1.0, 0.0, 2.0, 3.0], [1, 1, 1, 2, 1, 1]),
+    "negative-zero": ([-2.0, -0.0, 1.0], [1, 1, 1], [-2.0, -1.0, 0.0, 1.0, 2.0], [1, 1, 2, 1, 1]),
+}
+
+
+@pytest.mark.parametrize("case", NESTING_CASES.values(), ids=NESTING_CASES.keys())
+def test_lower_scan_equals_the_scan_over_the_merged_line(case, monkeypatch):
+    x, w, nx, nw = case
+    pts, nxt = WeightedPointSet(x, w), WeightedPointSet(nx, nw)
+    # the smallest size's half rounds to 0, where the sign of a zero reaches the centres
+    schedule = WindowSchedule((5e-324, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0))
+    got = lower_density_profile(pts, schedule, nxt, level=2)
+    monkeypatch.setattr(beurling, "_merged_line", always_merged_line)
+    assert repr(got) == repr(lower_density_profile(pts, schedule, nxt, level=2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_pairs(), st.integers(1, 5),
+       st.sets(st.sampled_from([0.1, 0.25, 0.4, 0.55, 0.7, 0.85, 1.0, 1.2]), min_size=1))
+def test_last_trusted_lower_profile_is_the_last_trusted_entry_of_the_profile(pair, k, fractions):
+    pts, nxt = expand_level(pair, k), expand_level(pair, k + 1)
+    # up to past the box, where the next level often disagrees
+    radius = float(np.max(np.abs(pts.points)))
+    schedule = WindowSchedule(tuple(2 * radius * f for f in sorted(fractions)))
+    try:
+        full = lower_density_profile(pts, schedule, nxt, level=k, cap=2**20)
+    except BudgetExceeded:
+        return  # a 2-D size too large to scan in full
+    got = beurling.last_trusted_lower_profile(pts, schedule, nxt, level=k, cap=2**20)
+    assert got.entries == tuple(e for e in full.entries if e.trusted)[-1:]
+    assert (got.dim, got.level, got.max_multiplicity) == (
+        full.dim, full.level, full.max_multiplicity)
+
+
 def test_lower_1d_scan_memory_is_bounded(doubling_pair):
     pts, nxt = expand_level(doubling_pair, 16), expand_level(doubling_pair, 17)
     schedule = natural_schedule(pts)
@@ -628,10 +689,10 @@ def lower_scan_lookups(monkeypatch, pts, nxt):
     monkeypatch.setattr(beurling, "_search", recording)
     schedule = natural_schedule(pts)
     lower_density_profile(pts, schedule, nxt)
-    sets = [q for q in (pts, nxt) if q is not None]
-    # the merged line places each set's points first
-    assert lookups[:len(sets)] == [len(q) for q in sets]
-    return schedule, lookups[len(sets):]
+    # the line is the next level's points, or the level's own without one:
+    # placing the level's points on it is the one search before the scans
+    assert lookups[:1] == [len(pts)]
+    return schedule, lookups[1:]
 
 
 @pytest.mark.parametrize("pair, k, next_level", [
@@ -785,7 +846,7 @@ def test_rank_table_selection(doubling_pair, cantor_pair_32):
     assert beurling._rank_table(line) is not None
     sets = [expand_level(doubling_pair, k) for k in (16, 17)]
     u = np.unique(np.concatenate([q.points[:, 0] for q in sets]))
-    table, _ = beurling._merged_line(u, sets)
+    _, table, _ = beurling._merged_line(sets)
     assert table is not None and len(table) == u[-1] - u[0] + 2
     # the Cantor set spans about 650 times its count
     assert beurling._rank_table(expand_level(cantor_pair_32, 8).points[:, 0]) is None

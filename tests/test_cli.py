@@ -1,4 +1,6 @@
 """End-to-end command-line checks run through a real subprocess."""
+import contextlib
+import io
 import subprocess
 import sys
 import tracemalloc
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from strategies import small_pairs
 
 from selfaffine import WeightedPointSet, cli, expansion, parse_pair_spec, render_pair_spec
 from selfaffine.cli import _cell, _expand_blocks, main
@@ -315,6 +318,66 @@ def test_classify_origin_rejects_fractal(pair_file):
     path = pair_file(CANTOR)
     result = run("classify-origin", "--pair", path, "--level", "8")
     assert result.returncode == 1
+
+
+def test_classify_origin_without_a_trusted_entry_is_domain_error(pair_file):
+    path = pair_file(DOUBLING)
+    # level 9 exceeds the cap, so no lower window is trusted
+    result = run("classify-origin", "--pair", path, "--level", "8", "--cap", "256")
+    assert result.returncode == 1
+    assert result.stderr == "error: no stabilized lower-density entry to classify with\n"
+
+
+def test_classify_origin_budgets_only_the_lower_sizes_it_scans(pair_file):
+    path = pair_file(DRAGON)
+    # the largest size is trusted, so the smallest, with 9095 candidate
+    # windows, is never scanned; density scans every size and refuses
+    refused = run("density", "--pair", path, "--level", "10", "--cap", "4096")
+    assert refused.returncode == 1
+    assert refused.stderr == "error: 9095 candidate windows at size 0.101562 exceed cap 4096\n"
+    for cap in ("4096", "20000"):
+        result = run("classify-origin", "--pair", path, "--level", "10", "--cap", cap)
+        assert result.returncode == 0
+        assert result.stdout.splitlines()[-1] == "boundary,0,0.781065088757,26,10"
+
+
+def in_process(*argv):
+    """Exit code, stdout and stderr of ``main(argv)`` run in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def spec_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("specs")
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_pairs(), st.integers(1, 7), st.sampled_from(["natural:9", "natural:5", "natural:2"]))
+def test_classify_origin_equals_the_verdict_of_full_profiles(spec_dir, pair, k, windows):
+    path = spec_dir / "pair.txt"
+    path.write_text(render_pair_spec(pair), encoding="utf-8")
+    argv = ("classify-origin", "--pair", str(path), "--level", str(k), "--windows", windows,
+            "--cap", "4096")
+    got = in_process(*argv)
+
+    def full_lower(pts, schedule, nxt, level, cap):
+        # 2-D sizes that the verdict need not scan may hold more than 4096 windows
+        return cli.lower_density_profile(pts, schedule, nxt, level=level, cap=2**20)
+
+    # the reference scans every size of both profiles
+    with mock.patch.object(cli, "trend_sizes", lambda sizes: sizes), \
+         mock.patch.object(cli, "last_trusted_lower_profile", full_lower):
+        ref = in_process(*argv)
+    # a size beyond its budget stops either scan, but only once it is reached
+    if "candidate windows" not in got[2] + ref[2]:
+        assert got == ref
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_renorm_check(pair_file):

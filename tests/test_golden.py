@@ -65,6 +65,10 @@ CORPUS = [
      "6f9307e7a0c6babb714bddd30a066cf1262fa90303597da1ae92836396857624"),
     (("classify-origin", "{negabinary}", "--level", "9"),
      "548e9312bf01abef1df410a1e4a37a9577c12ed27af4203b6b0eace89638a320"),
+    # lower entries trusted TTTTTTuu: a scan from the largest size down
+    # passes two untrusted sizes before the trusted one it reports
+    (("classify-origin", "{negabinary}", "--level", "7", "--windows", "lin:21.25,170,8"),
+     "2791464d5eee3129d6b3e32425f0142d16efd8dc7fd50ab30ac4253d552af6bb"),
     (("cantor", "--N", "3", "--d", "2", "--op", "count", "--coeffs", "2,0,2"),
      "1c8cfc10cdf623f3996e1894a9c7ad32b3ae56beea75af862901c15010d1e265"),
     (("cantor", "--N", "3", "--d", "2", "--op", "hmeasure"),
@@ -185,3 +189,20 @@ def test_golden_stdout(template, digest, pair_paths, capsysbinary):
     for name, path in pair_paths.items():
         out = out.replace(path.encode(), f"{name}.txt".encode())
     assert hashlib.sha256(out).hexdigest() == digest
+
+
+def test_corpus_prints_the_same_bytes_after_a_usage_error(pair_paths, capsysbinary):
+    # one parser serves every call of main in a process
+    def outputs():
+        outs = []
+        for template, *_ in CORPUS:
+            assert main(_argv(template, pair_paths)) == 0
+            outs.append(capsysbinary.readouterr().out)
+        return outs
+
+    first = outputs()
+    with pytest.raises(SystemExit) as exc:
+        main(["density", "--pair", pair_paths["doubling"], "--level", "x"])
+    assert exc.value.code == 2
+    assert b"invalid _positive_int value" in capsysbinary.readouterr().err
+    assert outputs() == first

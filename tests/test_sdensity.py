@@ -772,12 +772,12 @@ def test_sampler_and_renorm_memory_is_bounded(cantor_pair_32):
     assert checked <= 38.16 * 2**20
 
 
-def test_sampler_returns_a_view_and_renorm_keeps_a_bool_indicator(cantor_pair_32):
+def test_sampler_returns_a_read_only_array_and_renorm_keeps_a_bool_indicator(cantor_pair_32):
     sample, sampled, checked = sampler_and_renorm_peaks(cantor_pair_32)
-    # a view of the chaos-game output past the burn-in (15.77 MiB), and a check
-    # whose left-hand side stays the 1-byte mask of the box test (25.76 MiB,
-    # the sample's 7.6 MiB included): a copy of the sample, or a float
-    # indicator, adds 7.6 MiB
+    # a read-only array that the sampler fills block by block (8.4 MiB), and
+    # a check whose left-hand side stays the 1-byte mask of the box test
+    # (16.4 MiB, the sample's 7.6 MiB included): a copy of the sample, or a
+    # float indicator, adds 7.6 MiB
     assert sample.points.flags.c_contiguous and not sample.points.flags.writeable
     assert sampled <= 16.5 * 2**20
     assert checked <= 27 * 2**20
