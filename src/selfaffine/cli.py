@@ -515,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", required=True, help="lo,hi per axis, comma-separated")
     p.add_argument("--steps", required=True, type=_positive_int, help="renormalization depth")
     p.add_argument("--samples", required=True, type=_positive_int)
-    p.add_argument("--seed", required=True, type=int, help="explicit sampler seed")
+    p.add_argument("--seed", required=True, type=_nonnegative_int, help="explicit sampler seed")
     p.add_argument("--burn-in", type=_nonnegative_int, default=64)
     p.set_defaults(func=_cmd_renorm_check)
 

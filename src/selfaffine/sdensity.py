@@ -311,17 +311,57 @@ def _chaos_game_1d(binv: float, digits: np.ndarray, rng: np.random.Generator, st
         yield out
 
 
+def _block_steps(dim: int) -> int:
+    """Steps per block of the n-D game: a power of 2 up to ``_BLOCK``, with at most
+    ``2 * _BLOCK`` rows in its block matrix, so that its size stays bounded in dim."""
+    return min(_BLOCK, 1 << (max(1, 2 * _BLOCK // dim).bit_length() - 1))
+
+
 def _chaos_game_nd(binv: np.ndarray, digits: np.ndarray, rng: np.random.Generator, steps: int):
-    """The iterates of x -> binv (x + d) from the origin, stepped one by one and
-    yielded as ``_chaos_game_1d`` yields them, a square of ``_BLOCK**2`` rows at a time."""
-    shifts = digits @ binv.T
-    x = np.zeros(len(binv))
+    """The iterates of x -> binv (x + d) from the origin, yielded as ``_chaos_game_1d``
+    yields them, a square of ``_BLOCK**2`` rows at a time, by block products.
+
+    Within a block of L = ``_block_steps(n)`` steps from the state x, the
+    t-th iterate is sum_(u<=t) binv^(t-u+1) d_u + binv^(t+1) x (t from 0), so
+    one block-Toeplitz matrix of the powers binv^1 ... binv^L times the
+    block's stacked digit vectors gives its iterates less the carry term.
+    A square's full blocks go in one stacked ``matmul``; the carries
+    x_b = y_b[-1] + binv^L x_(b-1) run in Python, and the carry terms
+    binv^(t+1) x are added in place.  L divides ``_BLOCK**2``, so only the
+    last square can end in a shorter block, one product of its own.  The
+    iterates round differently from a step-by-step loop, within a few ulp
+    of the attractor's radius, and the same on every run of a platform.
+    """
+    n = len(binv)
+    L = _block_steps(n)
+    pows = np.empty((L + 1, n, n))
+    pows[0] = binv
+    for k in range(1, L):
+        pows[k] = binv @ pows[k - 1]
+    pows[L] = 0.0
+    t = np.arange(L)
+    lag = np.subtract.outer(t, t)
+    toeplitz = pows[np.where(lag >= 0, lag, L)].transpose(0, 2, 1, 3).reshape(L * n, L * n)
+    carry_pows = pows[:L].reshape(L * n, n)
+    grow = pows[L - 1]
+    x = np.zeros(n)
     for start in range(0, steps, _BLOCK**2):
-        idx = rng.integers(0, len(digits), size=min(_BLOCK**2, steps - start))
-        out = np.empty((len(idx), len(x)))
-        for t, i in enumerate(idx.tolist()):
-            x = binv @ x + shifts[i]
-            out[t] = x
+        size = min(_BLOCK**2, steps - start)
+        d = digits[rng.integers(0, len(digits), size=size)]
+        out = np.empty((size, n))
+        end = size - size % L
+        if end:
+            blocks = out[:end].reshape(-1, L * n)
+            np.matmul(toeplitz, d[:end].reshape(-1, L * n, 1), out=blocks[:, :, None])
+            carry = np.empty((len(blocks), n))
+            for b, last in enumerate(blocks[:, -n:]):
+                carry[b] = x
+                x = last + grow @ x
+            blocks += carry @ carry_pows.T
+        if end < size:
+            tail = (size - end) * n
+            y = toeplitz[:tail, :tail] @ d[end:].reshape(-1) + carry_pows[:tail] @ x
+            out[end:] = y.reshape(-1, n)
         yield out
 
 
@@ -331,8 +371,11 @@ class ChaosGame:
 
     ``blocks`` runs the game afresh on each call and yields the kept
     iterates as (rows, dim) arrays, one square of ``_BLOCK**2`` steps at a
-    time, so no array of the sample's length is made.
-    ``sample_self_similar_measure`` stores the same iterates.
+    time, so no array of the sample's length is made.  Every dimension
+    computes blocks of steps by one product (``_chaos_game_1d``,
+    ``_chaos_game_nd``); in dimension 2 and up the last bits can differ
+    from a step-by-step loop's, and a given platform gives the same bits on
+    every run.  ``sample_self_similar_measure`` stores the same iterates.
     """
 
     pair: SelfAffinePair
@@ -379,7 +422,10 @@ def sample_self_similar_measure(
     at random, discards ``burn_in`` iterates, and keeps the next ``count``.
     Randomness comes from numpy's PCG64 generator seeded explicitly, which
     produces identical streams across platforms, so identical
-    (seed, count, burn_in) yield identical samples bit for bit.
+    (seed, count, burn_in) yield identical samples bit for bit on a given
+    platform.  The iterates come from block products; in dimension 2 and
+    up their last bits can differ from those of a step-by-step loop, within
+    a few ulp of the attractor's radius.
 
     The iterates are read from the stream of ``ChaosGame``, a square of
     ``_BLOCK**2`` steps at a time, into the output.  Each square draws its
@@ -399,7 +445,13 @@ def sample_self_similar_measure(
 
 
 def _in_box(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    return np.all((points >= lo) & (points <= hi), axis=1)
+    """Whether each row lies in the box [lo, hi], one comparison per axis and bound ANDed in."""
+    inside = points[:, 0] >= lo[0]
+    inside &= points[:, 0] <= hi[0]
+    for a in range(1, points.shape[1]):
+        inside &= points[:, a] >= lo[a]
+        inside &= points[:, a] <= hi[a]
+    return inside
 
 
 def _without_lone_rows(blocks):
@@ -453,7 +505,13 @@ def check_renormalization(
     joined to a neighbour (``_without_lone_rows``), so that each block's
     product with B^N has the bits of the whole sample's.  The left-hand
     indicator goes into one bool array, and the right-hand values into one
-    float array.
+    float array.  Per block the check does elementwise work only, rounding
+    as a product of the whole sample would: B^N x goes into one reusable
+    (rows, dim) buffer, by a scalar multiply in dimension 1 (B^N is 1 x 1
+    and the product rounds once either way) and by ``np.matmul`` otherwise;
+    the same buffer then takes each straddling x + p.  ``_in_box`` ANDs
+    per-axis comparisons, and the left-hand mean is the count of its hits
+    over the sample's count.
 
     For a fixed p, x -> fl(x + p) is monotone on each axis, so the shifted
     per-axis extremes of a block bound every shifted sample in it.  Each
@@ -461,9 +519,11 @@ def check_renormalization(
     window on some axis adds nothing; the weights of those whose bounds lie
     inside the window on every axis are added to the block once; only the
     points in between test each sample.  A NaN extreme passes neither test
-    and falls through to the per-sample test.  Each entry of the right-hand
-    sum is a sum of integer weights below 2**53, exact in any order, so the
-    results are those of testing every point.  The standard deviation is
+    and falls through to the per-sample test, where a straddling point adds
+    its weight times the 0-1 outcome: adding 0.0 leaves a sum unchanged, and
+    a NaN sample adds nothing.  Each entry of the right-hand sum is a sum of
+    integer weights below 2**53, exact in any order, so the results are
+    those of testing every point.  The standard deviation is
     ``np.std(diff, ddof=1)`` computed in place on the difference
     (``_std_in_place``), with the same bits.
 
@@ -496,6 +556,7 @@ def check_renormalization(
     bn = np.linalg.matrix_power(pair.matrix.entries, n_steps)
     lhs_ind = np.empty(sample.count, dtype=bool)
     f = np.zeros(sample.count)
+    buf = np.empty((0, pair.dim))
     limit = max(cap, _MIN_BUDGET)
     tests = start = 0
     for x in _without_lone_rows(sample.blocks()):
@@ -506,15 +567,23 @@ def check_renormalization(
         tests += len(mu) + int(np.count_nonzero(straddle)) * len(x)
         if tests > limit:
             raise BudgetExceeded(f"renormalization check: {tests} box tests exceed cap {cap}")
-        lhs_ind[start:stop] = _in_box(x @ bn.T, lo, hi)
+        if len(buf) < len(x):
+            buf = np.empty((len(x), pair.dim))
+        y = buf[: len(x)]
+        if pair.dim == 1:
+            np.multiply(x, bn[0, 0], out=y)
+        else:
+            np.matmul(x, bn.T, out=y)
+        lhs_ind[start:stop] = _in_box(y, lo, hi)
         fx = f[start:stop]
         if inside.any():
             fx += mu.weights[inside].sum()
         for p, w in zip(mu.points[straddle], mu.weights[straddle]):
-            np.add(fx, w, out=fx, where=_in_box(x + p, lo, hi))
+            np.add(x, p, out=y)
+            fx += _in_box(y, lo, hi) * w
         start = stop
     f /= float(pair.m**n_steps)
-    lhs, rhs = float(lhs_ind.mean()), float(f.mean())
+    lhs, rhs = np.count_nonzero(lhs_ind) / sample.count, float(f.mean())
     diff = np.subtract(lhs_ind, f, out=f)
     stderr = float(_std_in_place(diff) / np.sqrt(sample.count))
     return RenormCheck(lhs=lhs, rhs=rhs, stderr=stderr)

@@ -11,10 +11,14 @@
   cumulative sum (``beurling._rank_table`` repeats each count).
 * ``chaos_game_1d_block_by_block``: the 1-D chaos game, one matrix-vector
   product per block (``sdensity._chaos_game_1d`` stacks them).
+* ``chaos_game_nd_step_by_step``: the n-D chaos game, one matrix-vector
+  product per step (``sdensity._chaos_game_nd`` takes blocks of steps in
+  one product).
 * ``check_renormalization_every_point``: the renormalization check that
   tests every sample against every expansion point
   (``sdensity.check_renormalization`` skips the points whose shifted sample
-  bounds settle the test).
+  bounds settle the test), with its box test ``_in_box`` (``sdensity._in_box``
+  compares axis by axis).
 * ``dominance_anchor_by_anchor``: the translation-dominance loop, one binary
   search per anchor (``cantor._dominance_scan`` searches tiles of cells).
 * ``_candidate_centers``: a lower scan's candidate centres on one axis, all
@@ -52,7 +56,7 @@ from selfaffine.pointset import (
     WeightedPointSet,
     _canonicalize,
 )
-from selfaffine.sdensity import _BLOCK, MeasureSample, RenormCheck, _in_box
+from selfaffine.sdensity import _BLOCK, MeasureSample, RenormCheck
 
 
 def raster_attractor_full_grid(
@@ -218,6 +222,26 @@ def chaos_game_1d_block_by_block(binv: float, digits: np.ndarray, idx: np.ndarra
         out[start : start + L] = vals
         x = vals[-1]
     return out
+
+
+def chaos_game_nd_step_by_step(
+    binv: np.ndarray, digits: np.ndarray, rng: np.random.Generator, steps: int
+):
+    """The iterates of x -> binv (x + d) from the origin, stepped one by one and
+    yielded as ``_chaos_game_1d`` yields them, a square of ``_BLOCK**2`` rows at a time."""
+    shifts = digits @ binv.T
+    x = np.zeros(len(binv))
+    for start in range(0, steps, _BLOCK**2):
+        idx = rng.integers(0, len(digits), size=min(_BLOCK**2, steps - start))
+        out = np.empty((len(idx), len(x)))
+        for t, i in enumerate(idx.tolist()):
+            x = binv @ x + shifts[i]
+            out[t] = x
+        yield out
+
+
+def _in_box(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    return np.all((points >= lo) & (points <= hi), axis=1)
 
 
 def check_renormalization_every_point(

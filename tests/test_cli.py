@@ -519,6 +519,17 @@ def test_renorm_check_refuses_a_chaos_game_beyond_cap_before_sampling(pair_file,
     assert main(["renorm-check", *window, "--samples", "100", "--cap", "164"]) == 0
 
 
+def test_renorm_check_refuses_a_negative_seed_as_a_usage_error(pair_file, capsys):
+    argv = ["renorm-check", "--pair", pair_file(CANTOR), "--window", "0,2", "--steps", "1",
+            "--samples", "100", "--seed", "-1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --seed: must be nonnegative" in captured.err
+
+
 def test_renorm_check_of_one_sample_is_a_domain_error(pair_file):
     for text, window in [(CANTOR, "0,2"), (DRAGON, "-0.3,0.4,-0.2,0.5")]:
         result = run("renorm-check", "--pair", pair_file(text), f"--window={window}",

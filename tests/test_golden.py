@@ -139,6 +139,21 @@ CORPUS = [
     (("renorm-check", "{dragon}", "--window=-0.3,0.4,-0.2,0.5", "--steps", "3",
       "--samples", "20000", "--seed", "5"),
      "e4403335443a7e860bcd6271b86280d47c7d13d70121682bf0b02c6ca7a833be"),
+    # the benchmark's seeded renormalization check; weights above 1 through
+    # the per-sample test; and the blocked chaos game in 2-D, off the
+    # lattice, and in 3-D
+    (("renorm-check", "{cantor}", "--window", "0,0.5", "--steps", "4",
+      "--samples", "1000000", "--seed", "1"),
+     "3635998cb5bbf48356eb7ed0bebd63e343173a178e97794416595f9f458ccc26"),
+    (("renorm-check", "{collider}", "--window", "0.1,0.9", "--steps", "3",
+      "--samples", "30000", "--seed", "2"),
+     "4d7644ca10876433000026dab45c972d85dfe9f87be8f11641671a8e17aa135f"),
+    (("renorm-check", "{spiral}", "--window=-0.2,0.6,-0.1,0.7", "--steps", "2",
+      "--samples", "30000", "--seed", "3"),
+     "587a80fda5c62e90e4026533e4fb74b00122dd0adcf35e366a9459c85772a30c"),
+    (("renorm-check", "{collider3}", "--window=0,0.5,0,0.5,-0.1,0.1", "--steps", "2",
+      "--samples", "30000", "--seed", "4"),
+     "febf5483ae12737b756fd2d9a0159f1efa50cb027728c224aab28d8bdb7aba54"),
     # dominance on a set too sparse for a rank table even at n(n + 1)/2
     # lookups, and on a non-integral set
     (("cantor", "--N", "4", "--d", "3", "--op", "dominance", "--level", "8"),

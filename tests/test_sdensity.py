@@ -9,7 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import chaos_game_1d_block_by_block, check_renormalization_every_point
+from oracles import (
+    chaos_game_1d_block_by_block,
+    chaos_game_nd_step_by_step,
+    check_renormalization_every_point,
+)
 from strategies import small_pairs
 
 from selfaffine import (
@@ -30,6 +34,7 @@ from selfaffine import (
     validate_pair,
 )
 from selfaffine import pointset
+from selfaffine.attractor import invariant_radius
 from selfaffine.pointset import prefix_weights
 from selfaffine.sdensity import ChaosGame, MeasureSample
 
@@ -585,6 +590,80 @@ def test_chaos_game_equals_block_by_block_loop(b, digits, steps):
     got = np.concatenate(list(game))
     # bit for bit, signed zeros included
     assert got.tobytes() == chaos_game_1d_block_by_block(binv, vectors, idx).tobytes()
+
+
+class RecordingGenerator:
+    """A numpy generator that keeps every array of digit indices it draws."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.draws = []
+
+    def integers(self, *args, **kwargs):
+        self.draws.append(self.rng.integers(*args, **kwargs))
+        return self.draws[-1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    small_pairs(dims=(2, 3)),
+    st.sampled_from(["one", "block - 1", "block", "block + 1", "square + 3"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_blocked_chaos_game_equals_step_by_step_loop(pair, length, seed):
+    block = sdensity._block_steps(pair.dim)
+    steps = {"one": 1, "block - 1": block - 1, "block": block, "block + 1": block + 1,
+             "square + 3": sdensity._BLOCK**2 + 3}[length]
+    inv, digits = pair.matrix.inverse, pair.digits.vectors
+    got_rng, loop_rng = RecordingGenerator(seed), RecordingGenerator(seed)
+    got = list(sdensity._chaos_game_nd(inv, digits, got_rng, steps))
+    expected = list(chaos_game_nd_step_by_step(inv, digits, loop_rng, steps))
+    # the same squares, drawn from the same digit indices chunk by chunk
+    assert [square.shape for square in got] == [square.shape for square in expected]
+    assert len(got_rng.draws) == len(loop_rng.draws)
+    for a, b in zip(got_rng.draws, loop_rng.draws):
+        assert np.array_equal(a, b)
+    # every iterate within a few ulp of the attractor's radius (at most 2.9
+    # ulp over 1,900 drawn pairs)
+    tol = 8 * np.finfo(float).eps * invariant_radius(pair)
+    for a, b in zip(got, expected):
+        assert np.abs(a - b).max() <= tol
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 9, 300])
+def test_block_matrix_of_the_chaos_game_stays_bounded(dim):
+    block = sdensity._block_steps(dim)
+    # at most 2 * _BLOCK rows, or one step when the dimension alone exceeds that
+    assert block * dim <= 2 * sdensity._BLOCK or block == 1
+    # blocks tile a square, so that only the last square has a shorter block
+    assert sdensity._BLOCK**2 % block == 0
+    if dim <= 9:
+        pair = validate_pair(2 * np.eye(dim), [np.zeros(dim), np.eye(dim)[0], np.ones(dim)])
+        steps = 3 * block + 5
+        got = sdensity._chaos_game_nd(pair.matrix.inverse, pair.digits.vectors,
+                                      np.random.default_rng(dim), steps)
+        loop = chaos_game_nd_step_by_step(pair.matrix.inverse, pair.digits.vectors,
+                                          np.random.default_rng(dim), steps)
+        tol = 8 * np.finfo(float).eps * invariant_radius(pair)
+        assert np.abs(np.concatenate(list(got)) - np.concatenate(list(loop))).max() <= tol
+
+
+@pytest.mark.parametrize("b,digits", [(3, [0, 2]), (-2, [0, 1])])
+def test_renorm_equals_every_point_check_on_left_hand_edge_windows(b, digits):
+    # edges on B^N x_i, and one ulp to either side of it, with B^N = 3, 27, -2
+    # and -8; one sample is NaN
+    pair = validate_pair([[float(b)]], [[float(d)] for d in digits])
+    points = sample_self_similar_measure(pair, 3000, seed=37).points.copy()
+    points[17, 0] = np.nan
+    sample = MeasureSample(points=points, seed=37, count=3000)
+    for steps in (1, 3):
+        y = points[:, 0] * np.linalg.matrix_power(pair.matrix.entries, steps)[0, 0]
+        order = np.argsort(y)  # the NaN sorts last
+        for i in (order[0], order[1000], order[-2]):
+            for edge in (np.nextafter(y[i], -np.inf), y[i], np.nextafter(y[i], np.inf)):
+                for window in [(edge, edge + 1.0), (edge - 1.0, edge)]:
+                    got = check_renormalization(pair, window, steps, sample)
+                    assert got == check_renormalization_every_point(pair, window, steps, sample)
 
 
 def test_renorm_equals_every_point_check_on_edge_windows(cantor_pair_32):
