@@ -57,18 +57,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, SingularMatrix, UnsupportedDimension
+from .errors import SingularMatrix, UnsupportedDimension, _enforce_budget
 from .expansion import DEFAULT_CAP
-from .pointset import WeightedPointSet, _prefix_sums
+from .pointset import _SCAN_CELLS, WeightedPointSet, _prefix_sums
 
 #: Relative tolerance for closed-window boundary membership.
 BOUNDARY_TOL = 1e-12
 
 #: Number of window sizes in a natural (geometric, ratio 2) schedule.
 NATURAL_SCHEDULE_LEN = 9
-
-#: Counts held at once by one block of a blocked scan, or one batch of tile-search leaves.
-_SCAN_CELLS = 2**15
 
 #: Low breaks in the first block of a lower scan's centres on one axis
 #: (``_center_blocks``); later blocks double up to ``_SCAN_CELLS``.
@@ -482,8 +479,8 @@ def _inf_blocks(merged, levels, size, radius, cap, offset):
     prefix at those ends.
 
     In 2-D ``levels`` holds (set, distinct y, y-ranks) per level.  Every
-    block of both axes is taken before the sweep, since more than ``cap``
-    candidate windows at this size raise ``BudgetExceeded`` before it.  The
+    block of both axes is taken before the sweep, since the candidate
+    windows at this size are counted against ``cap`` before it.  The
     last axis is scanned along the slab of points whose x lies in the
     window, one per candidate x, off one sweep per level (``_slab_sweeps``),
     as a merged sweep would widen each histogram to the y values of both.
@@ -500,9 +497,7 @@ def _inf_blocks(merged, levels, size, radius, cap, offset):
         blocks = (((c,), [pref[hi] - pref[lo] for pref in prefs]) for c, (lo, hi) in ends)
     else:
         centers = [np.concatenate(list(axis)) for axis in centers]
-        windows = math.prod(map(len, centers))
-        if windows > cap:
-            raise BudgetExceeded(f"{windows} candidate windows at size {size:g} exceed cap {cap}")
+        _enforce_budget("lower scan", math.prod(map(len, centers)), cap)
         cuts = [_cut(q.points[:, 0], None, centers[0], size) for q, _, _ in levels]
         edges = [_cut(yu, None, centers[-1], size) for _, yu, _ in levels]
         sweeps = _slab_sweeps(levels, cuts, len(centers[-1]))

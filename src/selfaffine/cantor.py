@@ -14,12 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beurling import _SCAN_CELLS, _rank_table, _search
+from .beurling import _rank_table, _search
 from .errors import InvalidCoefficient
 from .expansion import DEFAULT_CAP, expand_level
 from .pairs import SelfAffinePair, validate_pair
 from .pointset import (
-    _MIN_BUDGET,
     MERGE_TOL,
     _leaf_cells,
     _tile_search,
@@ -113,9 +112,8 @@ def _dominance_scan(xs: np.ndarray, pref: np.ndarray, cap: int = DEFAULT_CAP):
     a rank table, which may span up to the n(n + 1)/2 lookups of a full
     scan but not beyond ``cap``, and every other set searches.  Both give
     the binary search's counts exactly, so the verdict and the witness are
-    those of scanning anchor by anchor.  The search raises
-    ``BudgetExceeded`` before its tile bounds and leaf cells pass ``cap``,
-    or ``_MIN_BUDGET`` if that is more.
+    those of scanning anchor by anchor.  ``cap`` budgets the search's tile
+    bounds and leaf cells (``_enforce_budget``).
     """
     n = len(xs)
     table = _rank_table(xs, min(n * (n + 1) // 2, cap))
@@ -136,7 +134,7 @@ def _dominance_scan(xs: np.ndarray, pref: np.ndarray, cap: int = DEFAULT_CAP):
         if bad.any():
             least = min(least, int((i * n + j)[bad].min()))
 
-    _tile_search(n, _SCAN_CELLS, drop, leaves, max(cap, _MIN_BUDGET), "dominance scan")
+    _tile_search(n, drop, leaves, cap, "dominance scan")
     if least == n * n:
         return True, None
     i, j = divmod(least, n)

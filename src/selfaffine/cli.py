@@ -43,7 +43,7 @@ from .cantor import (
     count_upto,
     translation_dominance_check,
 )
-from .errors import BudgetExceeded, ParseError, SelfAffineError, UnsupportedDimension
+from .errors import BudgetExceeded, ParseError, SelfAffineError, UnsupportedDimension, _enforce_budget
 from .expansion import DEFAULT_CAP, _next_level, expand_level
 from .pairs import REGIME_TILE, SelfAffinePair, detect_similarity, validate_pair
 from .sdensity import (
@@ -346,13 +346,14 @@ def _cmd_cantor(args) -> str:
         except ValueError:
             raise UsageError(f"bad coefficient list {args.coeffs!r}") from None
         config += ("coeffs",)
+        count = count_upto(cp, coeffs)
         try:
             b = sum(r * args.N**j for j, r in enumerate(coeffs))
         except OverflowError:
             b = math.inf
         if not math.isfinite(b):
             raise ValueError("b = sum of r_j N**j overflows a float")
-        body = ["b,count", (b, count_upto(cp, coeffs))]
+        body = ["b,count", (b, count)]
     elif args.op == "hmeasure":
         comments = {"s": cp.s}
         body = [f"{cantor_hausdorff(cp):.12f}"]
@@ -371,8 +372,7 @@ def _cmd_cantor(args) -> str:
 
 def _cmd_raster(args) -> str:
     pair = _load_pair(args.pair)
-    if args.resolution**pair.dim > args.cap:
-        raise BudgetExceeded(f"raster {args.resolution}**{pair.dim} cells exceed cap {args.cap}")
+    _enforce_budget("raster", args.resolution**pair.dim, args.cap, f"{args.resolution}**{pair.dim}")
     grid, estimate = raster_attractor(pair, args.resolution, args.max_iters)
     comments = {
         "box": f"[{_cell(-grid.radius)},{_cell(grid.radius)}]^{grid.dim}",
@@ -415,11 +415,7 @@ def _cmd_renorm_check(args) -> str:
         )
     lo = np.array(vals[0::2])
     hi = np.array(vals[1::2])
-    if args.samples + args.burn_in > args.cap:
-        raise BudgetExceeded(
-            f"chaos game of {args.samples} samples after {args.burn_in} burn-in steps"
-            f" exceeds cap {args.cap}"
-        )
+    _enforce_budget("chaos game", args.samples + args.burn_in, args.cap)
     game = ChaosGame(pair, args.samples, args.seed, args.burn_in)
     check = check_renormalization(pair, (lo, hi), args.steps, game, args.cap)
     diff = abs(check.lhs - check.rhs)
@@ -449,8 +445,8 @@ def _add_common(sub, pair=True, level=True):
         sub.add_argument("--level", required=True, type=_positive_int, help="expansion level k")
     sub.add_argument(
         "--cap", type=_positive_int, default=DEFAULT_CAP,
-        help="work budget: expansion mass, raster cells, 2-D lower-scan windows,"
-        " scan cells and separation cell pairs",
+        help="work budget: expansion mass, separation cell pairs, 2-D lower-scan windows,"
+        " tile-search cells, raster cells, chaos-game steps and renormalization box tests",
     )
     sub.add_argument("-o", "--output", help="output file (default: standard output)")
 

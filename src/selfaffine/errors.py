@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the one work budget rule.
 
 Everything derives from :class:`SelfAffineError` so callers (and the CLI,
 which maps domain failures to exit code 1) can catch one base type.
@@ -30,7 +30,7 @@ class DuplicateDigit(SelfAffineError):
 
 
 class BudgetExceeded(SelfAffineError):
-    """Requested enumeration is larger than the configured mass cap."""
+    """A kernel's work would pass its budget (``_enforce_budget``)."""
 
 
 class NotACollision(SelfAffineError):
@@ -77,3 +77,31 @@ class ParseError(SelfAffineError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+#: Work a kernel with the floor may always do: a cap that admits a small
+#: level's mass, such as 2**8 at level 8, still admits that level's scans.
+_MIN_BUDGET = 2**15
+
+#: Each budgeted kernel: the units it counts, and whether it has the floor.
+_BUDGETS = {
+    "expansion": ("digit strings", False),
+    "min separation": ("cell pairs", True),
+    "lower scan": ("candidate windows", False),
+    "s-density scan": ("tile bounds and leaf cells", True),
+    "dominance scan": ("tile bounds and leaf cells", True),
+    "renormalization check": ("box tests", True),
+    "raster": ("cells", False),
+    "chaos game": ("steps", False),
+}
+
+
+def _enforce_budget(kernel: str, units: int, cap: int, shown: str | None = None) -> None:
+    """Refuse ``units`` of ``kernel``'s work past ``cap``, raised to ``_MIN_BUDGET`` by a floor.
+
+    The message names the kernel, the units (as ``shown``, say ``2**40``, if given) and the limit.
+    """
+    noun, floored = _BUDGETS[kernel]
+    limit = max(cap, _MIN_BUDGET) if floored else cap
+    if units > limit:
+        raise BudgetExceeded(f"{kernel}: {shown or units} {noun} exceed cap {limit}")

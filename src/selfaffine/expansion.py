@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, NotACollision
+from .errors import BudgetExceeded, NotACollision, _enforce_budget
 from .pairs import SelfAffinePair
-from .pointset import _MERGE_SCALE_ERROR, _MIN_BUDGET, WeightedPointSet, _canonicalize
+from .pointset import _MERGE_SCALE_ERROR, WeightedPointSet, _canonicalize
 
 #: Default cap on total mass m**k of an enumeration.
 DEFAULT_CAP = 2**24
@@ -41,11 +41,6 @@ class CollisionWitness:
     observed_multiplicity: int | None
 
 
-def _check_budget(m: int, k: int, cap: int) -> None:
-    if m**k > cap:
-        raise BudgetExceeded(f"mass {m}**{k} exceeds cap {cap}")
-
-
 def expand_levels(pair: SelfAffinePair, k: int, cap: int = DEFAULT_CAP):
     """Yield the level-j expansion measure of a pair for j = 1, ..., k.
 
@@ -56,7 +51,7 @@ def expand_levels(pair: SelfAffinePair, k: int, cap: int = DEFAULT_CAP):
     """
     if k < 1:
         raise ValueError("level must be at least 1")
-    _check_budget(pair.m, 1, cap)
+    _enforce_budget("expansion", pair.m, cap, f"{pair.m}**1")
     # digit sets are stored sorted and distinct, so level 1 is already canonical
     pts = WeightedPointSet._from_canonical(
         pair.digits.vectors.copy(), np.ones(pair.m, dtype=np.int64)
@@ -78,7 +73,7 @@ def _next_level(pair: SelfAffinePair, pts: WeightedPointSet, k: int, cap: int) -
     ``_canonicalize`` merges.
     """
     m = pair.m
-    _check_budget(m, k + 1, cap)
+    _enforce_budget("expansion", m ** (k + 1), cap, f"{m}**{k + 1}")
     b = pair.matrix.entries
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -101,7 +96,7 @@ def expand_level(pair: SelfAffinePair, k: int, cap: int = DEFAULT_CAP) -> Weight
     """
     if k < 1:
         raise ValueError("level must be at least 1")
-    _check_budget(pair.m, k, cap)
+    _enforce_budget("expansion", pair.m**k, cap, f"{pair.m}**{k}")
     for pts in expand_levels(pair, k, cap):
         pass
     return pts
@@ -173,8 +168,7 @@ def _min_separation(pts: WeightedPointSet, cap: int = DEFAULT_CAP) -> float:
     pair closer than delta across non-adjacent cells.  Sets spanning more
     than 2**32 times delta pay for that with crowded cells, so the grid
     pass counts its cell pairs, the summed products of the compared cells'
-    sizes, before it measures any of them, and raises ``BudgetExceeded``
-    when they pass ``cap``, or ``_MIN_BUDGET`` if that is more.
+    sizes, before it measures any of them, against ``_enforce_budget``.
     """
     p = pts.points
     n, dim = p.shape
@@ -210,9 +204,7 @@ def _min_separation(pts: WeightedPointSet, cap: int = DEFAULT_CAP) -> float:
             a = np.nonzero(b >= 0)[0]
             neighbours.append((a, b[a]))
     total = sum(int((counts[a] * counts[b]).sum()) for a, b in neighbours)
-    budget = max(cap, _MIN_BUDGET)
-    if total > budget:
-        raise BudgetExceeded(f"min separation: {total} cell pairs exceed cap {budget}")
+    _enforce_budget("min separation", total, cap)
     for a, b in neighbours:
         best = min(best, _min_over_pairs(p, starts, a, b, counts))
     return float(np.sqrt(best))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BudgetExceeded, DimensionMismatch, EmptyPointSet
+from .errors import DimensionMismatch, EmptyPointSet, _enforce_budget
 
 #: Two computed points closer than this (infinity norm) are the same point.
 MERGE_TOL = 1e-9
@@ -21,10 +21,8 @@ _MERGE_SCALE_ERROR = f"coordinate magnitude exceeds supported merge scale ({_MAX
 #: Anchors and right ends per side of a leaf tile of ``_tile_search``.
 _LEAF = 8
 
-#: Work a budgeted scan may always do, whatever the cap: a cap that admits a
-#: small level's mass, such as 2**8 at level 8, would refuse the dominance
-#: scan of that level, some 16,000 units.
-_MIN_BUDGET = 2**15
+#: Counts held at once by one block of a blocked scan, or one batch of tile-search leaves.
+_SCAN_CELLS = 2**15
 
 
 def _canonicalize(points: np.ndarray, weights: np.ndarray):
@@ -208,7 +206,7 @@ def weight_in_interval(ps: WeightedPointSet, a: float, b: float, tol: float = ME
     return int(_interval_counts(ps.coords(), prefix_weights(ps), a - tol, b + tol))
 
 
-def _tile_search(n: int, cells: int, drop, leaves, limit: float, kernel: str) -> int:
+def _tile_search(n: int, drop, leaves, cap: int, kernel: str) -> None:
     """Visit the cells (i, j), j >= i, of an n x n table that ``drop`` cannot rule out.
 
     A tile is anchors [a0, a1) by right ends [b0, b1), given as four index
@@ -217,10 +215,10 @@ def _tile_search(n: int, cells: int, drop, leaves, limit: float, kernel: str) ->
     tiles and returns a mask of those that hold no cell the kernel needs;
     leaf tiles, of side ``_LEAF``, go to ``leaves(a0, a1, b0, b1)``, which
     evaluates their cells (``_leaf_cells``).  Tiles go in batches of at
-    most ``cells // _LEAF**2``, depth first and earliest anchors first, so a
-    batch of leaves holds at most ``cells`` cells.  One tile bound or one
-    leaf cell is one unit of work; before the work would pass ``limit`` the
-    search raises ``BudgetExceeded`` naming ``kernel``.  Returns the work.
+    most ``_SCAN_CELLS // _LEAF**2``, depth first and earliest anchors
+    first, so a batch of leaves holds at most ``_SCAN_CELLS`` cells.  Each
+    tile bound and leaf cell is one unit of ``kernel``'s budget at ``cap``
+    (``_enforce_budget``), counted before it is done.
     """
     side = _LEAF
     while side < n:
@@ -240,18 +238,16 @@ def _tile_search(n: int, cells: int, drop, leaves, limit: float, kernel: str) ->
         a0, b0 = p * side, q * side
         a1, b1 = np.minimum(a0 + side, n), np.minimum(b0 + side, n)
         work += len(p) if split else int(((a1 - a0) * (b1 - b0)).sum())
-        if work > limit:
-            raise BudgetExceeded(f"{kernel}: {work} tile bounds and leaf cells exceed cap {limit}")
+        _enforce_budget(kernel, work, cap)
         if not split:
             leaves(a0, a1, b0, b1)
             continue
         keep = ~drop(a0, a1, b0, b1)
         order = np.lexsort((q[keep], p[keep]))
         p, q = p[keep][order], q[keep][order]
-        step = max(1, cells // _LEAF**2)
+        step = max(1, _SCAN_CELLS // _LEAF**2)
         stack.extend((side, p[k : k + step], q[k : k + step])
                      for k in reversed(range(0, len(p), step)))
-    return work
 
 
 def _leaf_cells(a0, a1, b0, b1):

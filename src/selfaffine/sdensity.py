@@ -11,12 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beurling import _SCAN_CELLS, MeasureResult, _natural_ladder, _reciprocal_measure
-from .errors import BudgetExceeded, DimensionMismatch, UnsupportedDimension
-from .expansion import DEFAULT_CAP, _check_budget, expand_level
+from .beurling import MeasureResult, _natural_ladder, _reciprocal_measure
+from .errors import DimensionMismatch, UnsupportedDimension, _enforce_budget
+from .expansion import DEFAULT_CAP, expand_level
 from .pairs import SelfAffinePair
 from .pointset import (
-    _MIN_BUDGET,
     WeightedPointSet,
     _canonicalize,
     _leaf_cells,
@@ -106,9 +105,8 @@ def upper_s_density_profile(
     A tile search over (anchor, right end) cells finds the sup
     (``_tile_winners``).  It evaluates a cell with the float operations of
     the per-threshold anchor loop, and ties go to the earliest anchor and
-    then to the earliest right end.  ``cap`` bounds its tile bounds and leaf
-    cells, or ``_MIN_BUDGET`` if that is more; past the budget the profile
-    raises ``BudgetExceeded``.
+    then to the earliest right end.  ``cap`` budgets its tile bounds and
+    leaf cells (``_enforce_budget``).
     """
     if pts.dim != 1:
         raise UnsupportedDimension("s-density scan supports dimension 1 only")
@@ -131,7 +129,7 @@ def upper_s_density_profile(
             f"threshold {rs[0]:g} admits an interval of length 0:"
             " it is below the float spacing of the coordinates"
         )
-    winner = _tile_winners(xs, pref, s, j0, max(cap, _MIN_BUDGET))
+    winner = _tile_winners(xs, pref, s, j0, cap)
     entries = []
     for t in np.flatnonzero(winner < n):
         i, lo = winner[t], j0[t, winner[t]]
@@ -154,7 +152,7 @@ def upper_s_density_profile(
     )
 
 
-def _tile_winners(xs, pref, s, j0, limit):
+def _tile_winners(xs, pref, s, j0, cap):
     """Each threshold's winning anchor (n for none) by ``_tile_search``.
 
     A tile [a0, a1) x [b0, b1) is dead for threshold t when its last right
@@ -244,7 +242,7 @@ def _tile_winners(xs, pref, s, j0, limit):
         gain &= (m > top) | (first < winner)
         top[gain], winner[gain] = m[gain], first[gain]
 
-    _tile_search(n, _SCAN_CELLS, drop, leaves, limit, "s-density scan")
+    _tile_search(n, drop, leaves, cap, "s-density scan")
     winner[top == -np.inf] = n
     return winner
 
@@ -528,9 +526,8 @@ def check_renormalization(
     (``_std_in_place``), with the same bits.
 
     The box tests, one per point p and block plus one per straddling point
-    and sample of the block, are counted before each block runs them; past
-    ``cap``, or ``_MIN_BUDGET`` if that is more, the check raises
-    ``BudgetExceeded``.
+    and sample of the block, are counted against ``cap`` before each block
+    runs them (``_enforce_budget``).
     """
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
@@ -538,7 +535,6 @@ def check_renormalization(
         raise DimensionMismatch("sample dimension differs from pair dimension")
     if sample.count < 2:
         raise ValueError("the paired standard error needs at least 2 samples")
-    _check_budget(pair.m, n_steps, cap)
     try:
         lo, hi = window
     except (TypeError, ValueError):
@@ -557,7 +553,6 @@ def check_renormalization(
     lhs_ind = np.empty(sample.count, dtype=bool)
     f = np.zeros(sample.count)
     buf = np.empty((0, pair.dim))
-    limit = max(cap, _MIN_BUDGET)
     tests = start = 0
     for x in _without_lone_rows(sample.blocks()):
         stop = start + len(x)
@@ -565,8 +560,7 @@ def check_renormalization(
         inside = np.all((low >= lo) & (high <= hi), axis=1)
         straddle = ~(inside | np.any((high < lo) | (low > hi), axis=1))
         tests += len(mu) + int(np.count_nonzero(straddle)) * len(x)
-        if tests > limit:
-            raise BudgetExceeded(f"renormalization check: {tests} box tests exceed cap {cap}")
+        _enforce_budget("renormalization check", tests, cap)
         if len(buf) < len(x):
             buf = np.empty((len(x), pair.dim))
         y = buf[: len(x)]

@@ -43,16 +43,16 @@ def twin_dragon_pair():
 def tile_work(monkeypatch):
     """``watch(module)`` records each tile search that ``module`` runs.
 
-    Each record is [work, limit, finished]: the tile bounds and leaf cells
-    the search evaluated, the limit it was given, and whether it finished
+    Each record is [work, cap, finished]: the tile bounds and leaf cells
+    the search evaluated, the cap it was given, and whether it finished
     rather than raising ``BudgetExceeded``.
     """
     def watch(module):
         runs = []
         search = module._tile_search
 
-        def recording(n, cells, drop, leaves, limit, kernel):
-            run = [0, limit, False]
+        def recording(n, drop, leaves, cap, kernel):
+            run = [0, cap, False]
             runs.append(run)
 
             def counted_drop(a0, a1, b0, b1):
@@ -63,9 +63,8 @@ def tile_work(monkeypatch):
                 run[0] += int(((a1 - a0) * (b1 - b0)).sum())
                 return leaves(a0, a1, b0, b1)
 
-            work = search(n, cells, counted_drop, counted_leaves, limit, kernel)
+            search(n, counted_drop, counted_leaves, cap, kernel)
             run[2] = True
-            return work
 
         monkeypatch.setattr(module, "_tile_search", recording)
         return runs

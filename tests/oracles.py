@@ -46,8 +46,13 @@ from selfaffine.attractor import (
     invariant_radius,
 )
 from selfaffine.beurling import _TABLE_SPAN
-from selfaffine.errors import DimensionMismatch, ResolutionTooSmall, UnsupportedDimension
-from selfaffine.expansion import DEFAULT_CAP, _check_budget, expand_level
+from selfaffine.errors import (
+    DimensionMismatch,
+    ResolutionTooSmall,
+    UnsupportedDimension,
+    _enforce_budget,
+)
+from selfaffine.expansion import DEFAULT_CAP, expand_level
 from selfaffine.pairs import SelfAffinePair
 from selfaffine.pointset import (
     _MAX_ABS_COORD,
@@ -160,7 +165,7 @@ def expand_level_afresh(
     if k < 1:
         raise ValueError("level must be at least 1")
     m = pair.m
-    _check_budget(m, k, cap)
+    _enforce_budget("expansion", m**k, cap, f"{m}**{k}")
     digits = pair.digits.vectors
     b = pair.matrix.entries
     # digit sets are stored sorted and distinct, so level 1 is already canonical
@@ -264,7 +269,7 @@ def check_renormalization_every_point(
         raise ValueError("n_steps must be at least 1")
     if sample.dim != pair.dim:
         raise DimensionMismatch("sample dimension differs from pair dimension")
-    _check_budget(pair.m, n_steps, cap)
+    _enforce_budget("expansion", pair.m**n_steps, cap, f"{pair.m}**{n_steps}")
     lo, hi = window
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))

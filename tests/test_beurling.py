@@ -523,7 +523,7 @@ def test_blocked_sweep_equals_slab_loops_on_expansions(twin_dragon_pair, monkeyp
 def test_lower_2d_candidate_windows_are_budgeted(twin_dragon_pair, doubling_pair):
     pts = expand_level(twin_dragon_pair, 6)
     schedule = WindowSchedule((2.0,))
-    with pytest.raises(BudgetExceeded, match="candidate windows at size 2 exceed cap 10"):
+    with pytest.raises(BudgetExceeded, match="^lower scan: 150 candidate windows exceed cap 10$"):
         lower_density_profile(pts, schedule, cap=10)
     assert lower_density_profile(pts, schedule, cap=10**6).entries
     # a 1-D scan's candidates grow only linearly with the set; it has no budget

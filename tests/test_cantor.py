@@ -153,7 +153,7 @@ class TestTranslationDominance:
         xs, pref = case
         with pytest.MonkeyPatch.context() as mp:
             # a few cells per block, so one scan spans many blocks
-            mp.setattr(cantor, "_SCAN_CELLS", cells)
+            mp.setattr(pointset, "_SCAN_CELLS", cells)
             got = cantor._dominance_scan(xs, pref, cap)
         assert got == dominance_anchor_by_anchor(xs, pref)
 
@@ -166,7 +166,7 @@ class TestTranslationDominance:
         with pytest.MonkeyPatch.context() as mp:
             # small leaves and batches, so one search spans many levels and batches
             mp.setattr(pointset, "_LEAF", leaf)
-            mp.setattr(cantor, "_SCAN_CELLS", cells)
+            mp.setattr(pointset, "_SCAN_CELLS", cells)
             got = cantor._dominance_scan(xs, pref, cap)
         assert got == dominance_anchor_by_anchor(xs, pref)
 
@@ -181,16 +181,16 @@ class TestTranslationDominance:
     def test_level_14_runs_within_the_default_cap(self, tile_work):
         runs = tile_work(cantor)
         assert translation_dominance_check(CantorPair(3, 2), 14) == (True, None)
-        [(work, limit, finished)] = runs
-        assert finished and work <= limit == 2**24
+        [(work, cap, finished)] = runs
+        assert finished and work <= cap == 2**24
 
     def test_scan_past_the_cap_is_refused_before_the_work(self, tile_work):
         runs = tile_work(cantor)
         # mass 2**10 is within the cap; the scan's 144,213 units of work are not
         with pytest.raises(BudgetExceeded, match=r"dominance scan: \d+ tile bounds and leaf cells exceed cap 32768"):
             translation_dominance_check(CantorPair(3, 2), 10, cap=2**15)
-        [(work, limit, finished)] = runs
-        assert not finished and work <= limit == 2**15
+        [(work, cap, finished)] = runs
+        assert not finished and work <= cap == 2**15
 
     def test_integer_sets_read_a_rank_table_within_the_lookup_count(self, monkeypatch):
         tables = []

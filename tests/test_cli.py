@@ -269,6 +269,22 @@ def test_cantor_foreign_coefficient_is_domain_error():
     assert result.stderr.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "d,coeffs,message",
+    [
+        ("2", "2,0,nan", "coefficient nan at position 2 is neither 0 nor 2.0"),
+        ("2", "2,0,inf", "coefficient inf at position 2 is neither 0 nor 2.0"),
+        ("1e308", "0,1e308", "b = sum of r_j N**j overflows a float"),
+    ],
+    ids=["nan", "inf", "b-overflow"],
+)
+def test_cantor_count_names_a_bad_coefficient_before_summing_b(d, coeffs, message, capsys):
+    assert main(["cantor", "--N", "3", "--d", d, "--op", "count", "--coeffs", coeffs]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_raster_pbm(pair_file):
     path = pair_file(DRAGON)
     result = run("raster", "--pair", path, "--resolution", "16")
@@ -334,7 +350,7 @@ def test_classify_origin_budgets_only_the_lower_sizes_it_scans(pair_file):
     # windows, is never scanned; density scans every size and refuses
     refused = run("density", "--pair", path, "--level", "10", "--cap", "4096")
     assert refused.returncode == 1
-    assert refused.stderr == "error: 9095 candidate windows at size 0.101562 exceed cap 4096\n"
+    assert refused.stderr == "error: lower scan: 9095 candidate windows exceed cap 4096\n"
     for cap in ("4096", "20000"):
         result = run("classify-origin", "--pair", path, "--level", "10", "--cap", cap)
         assert result.returncode == 0
@@ -512,8 +528,8 @@ def test_renorm_check_refuses_a_chaos_game_beyond_cap_before_sampling(pair_file,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "error: chaos game of 1000000000 samples after 64 burn-in steps exceeds cap 16777216",
-        "error: chaos game of 100 samples after 64 burn-in steps exceeds cap 163",
+        "error: chaos game: 1000000064 steps exceed cap 16777216",
+        "error: chaos game: 164 steps exceed cap 163",
     ]
     monkeypatch.undo()
     assert main(["renorm-check", *window, "--samples", "100", "--cap", "164"]) == 0

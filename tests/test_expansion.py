@@ -134,10 +134,10 @@ def test_next_level_is_the_point_major_candidate_merged(pair, k):
 def test_stream_checks_the_budget_level_by_level(doubling_pair):
     levels = expand_levels(doubling_pair, 6, cap=8)
     assert [len(pts) for pts in itertools.islice(levels, 3)] == [2, 4, 8]
-    with pytest.raises(BudgetExceeded, match=r"mass 2\*\*4 exceeds cap 8"):
+    with pytest.raises(BudgetExceeded, match=r"^expansion: 2\*\*4 digit strings exceed cap 8$"):
         next(levels)
     # a single level is refused before any is built
-    with pytest.raises(BudgetExceeded, match=r"mass 2\*\*6 exceeds cap 8"):
+    with pytest.raises(BudgetExceeded, match=r"^expansion: 2\*\*6 digit strings exceed cap 8$"):
         expand_level(doubling_pair, 6, cap=8)
 
 

@@ -1,9 +1,12 @@
-"""Package surface: exported names and import-time dependencies."""
+"""Package surface: exported names, import-time dependencies and one budget module."""
+import ast
 import subprocess
 import sys
 import types
+from pathlib import Path
 
 import selfaffine
+from selfaffine import errors
 
 
 def test_all_exports_public_objects_not_submodules():
@@ -36,3 +39,23 @@ print('numpy.ma' in sys.modules)
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_budget_refusals_are_built_only_in_the_budget_module():
+    # every kernel refuses through errors._enforce_budget, which alone holds the floor
+    found = []
+    for path in sorted(Path(selfaffine.__file__).parent.rglob("*.py")):
+        if path.name == Path(errors.__file__).name:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "BudgetExceeded":
+                    found.append(f"{path.name}:{node.lineno} constructs BudgetExceeded")
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, ast.alias):
+                names.add(node.name)
+            if "_MIN_BUDGET" in names:
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')} names _MIN_BUDGET")
+    assert found == []

@@ -444,14 +444,14 @@ def test_tile_search_equals_threshold_loop(case, cells, leaf):
     with pytest.MonkeyPatch.context() as mp:
         # small leaves and batches, so one search spans many levels and batches
         mp.setattr(pointset, "_LEAF", leaf)
-        mp.setattr(sdensity, "_SCAN_CELLS", cells)
+        mp.setattr(pointset, "_SCAN_CELLS", cells)
         got = upper_s_density_profile(pts, s, thresholds, level=3)
     assert got == loop_sdensity(pts, s, thresholds, level=3)
 
 
 @pytest.mark.parametrize("cells", [1, 37, 2**16])
 def test_search_batches_equal_threshold_loop_on_cantor(cantor_pair_32, monkeypatch, cells):
-    monkeypatch.setattr(sdensity, "_SCAN_CELLS", cells)
+    monkeypatch.setattr(pointset, "_SCAN_CELLS", cells)
     for k in range(1, 10):
         pts = expand_level(cantor_pair_32, k)
         thresholds = [*natural_thresholds(pts), 2.0, 26.0, 3.0**k - 1]
@@ -492,8 +492,8 @@ def test_near_tied_search_finishes_at_level_12_under_the_default_cap(doubling_pa
     pts = expand_level(doubling_pair, 12)
     thresholds = natural_thresholds(pts)
     got = upper_s_density_profile(pts, 1.0, thresholds)
-    [(work, limit, finished)] = runs
-    assert finished and work <= limit == DEFAULT_CAP
+    [(work, cap, finished)] = runs
+    assert finished and work <= cap == DEFAULT_CAP
     assert got == loop_sdensity(pts, 1.0, thresholds)
 
 
@@ -504,8 +504,8 @@ def test_near_tied_search_past_the_cap_is_refused(doubling_pair, tile_work):
     # a cap below the floor of 2**15 lets the search spend the floor and no more
     with pytest.raises(BudgetExceeded) as refused:
         upper_s_density_profile(pts, 1.0, thresholds, cap=2**10)
-    [(work, limit, finished)] = runs
-    assert not finished and work <= limit == 2**15
+    [(work, cap, finished)] = runs
+    assert not finished and cap == 2**10 and work <= 2**15
     spent = re.fullmatch(r"s-density scan: (\d+) tile bounds and leaf cells exceed cap 32768",
                          str(refused.value))
     assert spent and int(spent.group(1)) > 2**15
@@ -767,7 +767,7 @@ def test_renorm_refuses_box_tests_past_the_cap_before_running_them(doubling_pair
     monkeypatch.setattr(sdensity, "_in_box", refused)
     # p = 0 and p = 1 both straddle the window: the first block's 2 + 2 * 16384
     # tests pass the 2**15 floor
-    with pytest.raises(BudgetExceeded, match=r"^renormalization check: 32770 box tests exceed cap 1024$"):
+    with pytest.raises(BudgetExceeded, match=r"^renormalization check: 32770 box tests exceed cap 32768$"):
         check_renormalization(doubling_pair, (0.5, 1.5), 1, sample, cap=2**10)
     monkeypatch.undo()
     # both blocks: 32770 + 2 + 2 * 3616 tests
