@@ -25,18 +25,15 @@ A 1-D window's count is a difference of prefix weights at its two edges,
 each found by one search of the sorted coordinates (a rank-table read or a
 binary search, see below); the lower scan searches the merged coordinates
 of a level and its next level once for both, which are the next level's
-own when they hold the level's.  In 2-D, with the points in
-order of x, those whose x lies in the window form a slab, a contiguous run
-of rows, and as the window moves right both ends of the run only advance.
-Canonical 2-D order is merge-key order, which can put a point before one of
-slightly smaller x when both x values round to the same key; such a set is
-scanned as a copy in stable x order (``_x_ordered``).  One sliding-slab
-sweep per set (``_slab_sweeps``) therefore keeps each slab's weight per
-distinct y value up to date from the points entering and leaving, a block
-of slabs at a time, and a cumulative sum along y turns a block into window
-counts.  Counts are integers throughout and every boundary test is the
-float comparison a per-slab scan makes, so results, ties included, are
-exactly those of scanning slab by slab.
+own when they hold the level's.  In 2-D, with the points in their
+canonical order of x, those whose x lies in the window form a slab, a
+contiguous run of rows, and as the window moves right both ends of the run
+only advance.  One sliding-slab sweep per set (``_slab_sweeps``) therefore
+keeps each slab's weight per distinct y value up to date from the points
+entering and leaving, a block of slabs at a time, and a cumulative sum
+along y turns a block into window counts.  Counts are integers throughout
+and every boundary test is the float comparison a per-slab scan makes, so
+results, ties included, are exactly those of scanning slab by slab.
 
 A 1-D scan whose sorted coordinates are integers, all below 2**52 in
 magnitude, on a span of at most ``_TABLE_SPAN`` times their count (the
@@ -160,15 +157,6 @@ def _require_dim(pts: WeightedPointSet, op: str) -> int:
     if pts.dim not in (1, 2):
         raise UnsupportedDimension(f"{op} supports dimensions 1 and 2 only")
     return pts.dim
-
-
-def _x_ordered(pts: WeightedPointSet) -> WeightedPointSet:
-    """A 2-D set with x non-decreasing: ``pts``, or a copy reordered by a stable sort of x."""
-    xs = pts.points[:, 0]
-    if np.all(xs[1:] >= xs[:-1]):
-        return pts
-    order = np.argsort(xs, kind="stable")
-    return WeightedPointSet._from_canonical(pts.points[order], pts.weights[order])
 
 
 def _rank_table(values: np.ndarray, limit: int | None = None):
@@ -352,7 +340,6 @@ def upper_density_profile(
     if dim == 1:
         levels = (_rank_table(pts.points[:, 0]), _prefix_sums(pts.weights))
     else:
-        pts = _x_ordered(pts)
         levels = [(pts, *np.unique(pts.points[:, -1], return_inverse=True))]
 
     def entry(size, volume):
@@ -525,8 +512,7 @@ def _lower_entry(pts, next_level_pts, cap):
         merged, levels = [line], (table, prefs)
     else:
         merged = [_distinct(np.concatenate([q.points[:, a] for q in sets])) for a in range(dim)]
-        levels = [(q, *np.unique(q.points[:, -1], return_inverse=True))
-                  for q in map(_x_ordered, sets)]
+        levels = [(q, *np.unique(q.points[:, -1], return_inverse=True)) for q in sets]
     offset = pts.total_mass + 1
     floor = 0 if next_level_pts is not None else offset
 

@@ -43,7 +43,8 @@ from .cantor import (
     count_upto,
     translation_dominance_check,
 )
-from .errors import BudgetExceeded, ParseError, SelfAffineError, UnsupportedDimension, _enforce_budget
+from .errors import BudgetExceeded, ParseError, SelfAffineError, UnsupportedDimension
+from .errors import _enforce_budget, _enforce_power_budget
 from .expansion import DEFAULT_CAP, _next_level, expand_level
 from .pairs import REGIME_TILE, SelfAffinePair, detect_similarity, validate_pair
 from .sdensity import (
@@ -372,7 +373,7 @@ def _cmd_cantor(args) -> str:
 
 def _cmd_raster(args) -> str:
     pair = _load_pair(args.pair)
-    _enforce_budget("raster", args.resolution**pair.dim, args.cap, f"{args.resolution}**{pair.dim}")
+    _enforce_power_budget("raster", args.resolution, pair.dim, args.cap)
     grid, estimate = raster_attractor(pair, args.resolution, args.max_iters)
     comments = {
         "box": f"[{_cell(-grid.radius)},{_cell(grid.radius)}]^{grid.dim}",

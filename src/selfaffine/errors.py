@@ -105,3 +105,10 @@ def _enforce_budget(kernel: str, units: int, cap: int, shown: str | None = None)
     limit = max(cap, _MIN_BUDGET) if floored else cap
     if units > limit:
         raise BudgetExceeded(f"{kernel}: {shown or units} {noun} exceed cap {limit}")
+
+
+def _enforce_power_budget(kernel: str, base: int, exp: int, cap: int) -> None:
+    """``_enforce_budget`` of base**exp units of an unfloored kernel, never built past the cap."""
+    # for base >= 2, base**exp > cap once exp >= cap.bit_length()
+    units = base**exp if base < 2 or exp < cap.bit_length() else cap + 1
+    _enforce_budget(kernel, units, cap, f"{base}**{exp}")

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, NotACollision, _enforce_budget
+from .errors import BudgetExceeded, NotACollision, _enforce_budget, _enforce_power_budget
 from .pairs import SelfAffinePair
-from .pointset import _MERGE_SCALE_ERROR, WeightedPointSet, _canonicalize
+from .pointset import _MERGE_SCALE_ERROR, WeightedPointSet, _merged
 
 #: Default cap on total mass m**k of an enumeration.
 DEFAULT_CAP = 2**24
@@ -51,11 +51,8 @@ def expand_levels(pair: SelfAffinePair, k: int, cap: int = DEFAULT_CAP):
     """
     if k < 1:
         raise ValueError("level must be at least 1")
-    _enforce_budget("expansion", pair.m, cap, f"{pair.m}**1")
-    # digit sets are stored sorted and distinct, so level 1 is already canonical
-    pts = WeightedPointSet._from_canonical(
-        pair.digits.vectors.copy(), np.ones(pair.m, dtype=np.int64)
-    )
+    _enforce_power_budget("expansion", pair.m, 1, cap)
+    pts = _merged(pair.digits.vectors, np.ones(pair.m, dtype=np.int64))
     yield pts
     for level in range(1, k):
         pts = _next_level(pair, pts, level, cap)
@@ -70,10 +67,10 @@ def _next_level(pair: SelfAffinePair, pts: WeightedPointSet, k: int, cap: int) -
     exactly m**(k+1).  B^k is the product of k left multiplications by B,
     the same sequence at every level.  The candidates go digit by digit:
     in 1-D, x -> fl(x + c) is monotone, so they are m sorted runs, which
-    ``_canonicalize`` merges.
+    the merge (``pointset._merged``) takes in about one pass.
     """
     m = pair.m
-    _enforce_budget("expansion", m ** (k + 1), cap, f"{m}**{k + 1}")
+    _enforce_power_budget("expansion", m, k + 1, cap)
     b = pair.matrix.entries
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -82,11 +79,10 @@ def _next_level(pair: SelfAffinePair, pts: WeightedPointSet, k: int, cap: int) -
                 power = b @ power
             shifts = pair.digits.vectors @ power.T
             new_pts = (shifts[:, None, :] + pts.points[None]).reshape(-1, pair.dim)
-            points, weights = _canonicalize(new_pts, np.tile(pts.weights, m))
+            return _merged(new_pts, np.tile(pts.weights, m))
     except FloatingPointError:
         # a sum past the float range lies far past the merge scale
         raise ValueError(_MERGE_SCALE_ERROR) from None
-    return WeightedPointSet._from_canonical(points, weights)
 
 
 def expand_level(pair: SelfAffinePair, k: int, cap: int = DEFAULT_CAP) -> WeightedPointSet:
@@ -96,7 +92,7 @@ def expand_level(pair: SelfAffinePair, k: int, cap: int = DEFAULT_CAP) -> Weight
     """
     if k < 1:
         raise ValueError("level must be at least 1")
-    _enforce_budget("expansion", pair.m**k, cap, f"{pair.m}**{k}")
+    _enforce_power_budget("expansion", pair.m, k, cap)
     for pts in expand_levels(pair, k, cap):
         pass
     return pts

@@ -129,9 +129,13 @@ def _validate_digits(rows: np.ndarray, dim: int) -> DigitSet:
         )
     order = np.lexsort(rows.T[::-1])
     rows = np.ascontiguousarray(rows[order])
-    for i in range(1, len(rows)):
-        if np.max(np.abs(rows[i] - rows[i - 1])) <= MERGE_TOL:
-            raise DuplicateDigit(f"digits {rows[i - 1]} and {rows[i]} coincide")
+    # near digits need not be neighbours here: each row meets every later one
+    # whose first coordinate is within 2 * MERGE_TOL (slack against rounding)
+    ends = np.searchsorted(rows[:, 0], rows[:, 0] + 2 * MERGE_TOL, side="right")
+    for i, end in enumerate(ends):
+        near = np.max(np.abs(rows[i + 1 : end] - rows[i]), axis=1) <= MERGE_TOL
+        if near.any():
+            raise DuplicateDigit(f"digits {rows[i]} and {rows[i + 1 + near.argmax()]} coincide")
     if not np.any(np.max(np.abs(rows), axis=1) <= MERGE_TOL):
         raise MissingZeroDigit("digit set must contain the zero vector")
     rows.flags.writeable = False

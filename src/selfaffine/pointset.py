@@ -35,9 +35,9 @@ def _canonicalize(points: np.ndarray, weights: np.ndarray):
     lexicographically smallest member, so coordinates of the inputs are
     preserved verbatim.
 
-    In 2-D the groups are sorted by key, so canonical order is merge-key
-    order: x can decrease between points whose x values round to the same
-    key and whose y keys then decide.
+    Beyond 1-D the groups come out of one sort by key.  A stable sort by x
+    then gives canonical order; it runs only when x decreases somewhere,
+    which it can only between groups whose x values share a key.
 
     In 1-D the key round(x / MERGE_TOL) is monotone in x, so one stable
     sort by x gives the permutation of the sort by key, then by x: equal x
@@ -67,17 +67,23 @@ def _canonicalize(points: np.ndarray, weights: np.ndarray):
     weights = weights[order]
     if len(starts) < len(weights):  # with nothing to merge, reduceat would only copy, group by group
         weights = np.add.reduceat(weights, starts)
+    if points.shape[1] > 1 and np.any(merged[1:, 0] < merged[:-1, 0]):
+        by_x = np.argsort(merged[:, 0], kind="stable")
+        merged, weights = merged[by_x], weights[by_x]
     return merged, weights.astype(np.int64, copy=False)
+
+
+def _merged(points: np.ndarray, weights: np.ndarray) -> "WeightedPointSet":
+    """The set of computed points with int64 weights, merged (``_canonicalize``), unchecked."""
+    return WeightedPointSet._from_canonical(*_canonicalize(points, weights))
 
 
 class WeightedPointSet:
     """Distinct points with positive integer weights, kept in canonical order.
 
-    Canonical order is sorted by coordinate in 1-D.  In 2-D it is merge-key
-    order: lexicographic by the quantized keys round(x / MERGE_TOL) and
-    round(y / MERGE_TOL), so x can decrease between two points whose x
-    values share a key.  The arrays are read-only; every operation returns
-    a new set.
+    Canonical order is by the first coordinate, ties in merge-key order
+    (keys round(v / MERGE_TOL) per axis), so lexicographic in 1-D and 2-D.
+    The arrays are read-only; every operation returns a new set.
     """
 
     __slots__ = ("points", "weights")
@@ -145,9 +151,6 @@ class WeightedPointSet:
             and np.array_equal(self.points, other.points)
             and np.array_equal(self.weights, other.weights)
         )
-
-    def __hash__(self):  # mutable-array wrapper; identity hashing is intentional
-        return id(self)
 
     def __repr__(self) -> str:
         return (

@@ -17,8 +17,8 @@ from .expansion import DEFAULT_CAP, expand_level
 from .pairs import SelfAffinePair
 from .pointset import (
     WeightedPointSet,
-    _canonicalize,
     _leaf_cells,
+    _merged,
     _tile_search,
     prefix_weights,
     weight_in_interval,
@@ -263,8 +263,7 @@ def discrete_convolve(a: WeightedPointSet, b: WeightedPointSet) -> WeightedPoint
         raise DimensionMismatch(f"operand dimensions {a.dim} and {b.dim} differ")
     pts = (a.points[:, None, :] + b.points[None, :, :]).reshape(-1, a.dim)
     w = (a.weights[:, None] * b.weights[None, :]).reshape(-1)
-    pts, w = _canonicalize(pts, w)
-    return WeightedPointSet._from_canonical(pts, w)
+    return _merged(pts, w)
 
 
 _BLOCK = 128

@@ -25,8 +25,9 @@
   at once from every point's breaks (``beurling._center_blocks`` builds
   them block by block from the distinct coordinates).
 * ``canonicalize_by_lexsort``: the merge that sorts by key, then by
-  coordinates, in every dimension (``pointset._canonicalize`` sorts 1-D
-  input by its coordinate alone).
+  coordinates, in every dimension, and then stably by x
+  (``pointset._canonicalize`` sorts 1-D input by its coordinate alone, and
+  re-sorts by x only when x decreases somewhere).
 
 Only the names, and the wrapping of two signatures, differ from the
 originals: ``dominance_anchor_by_anchor`` takes the coordinates and prefix
@@ -323,7 +324,7 @@ def _candidate_centers(breaks: np.ndarray, zlo: float, zhi: float) -> np.ndarray
 
 
 def canonicalize_by_lexsort(points: np.ndarray, weights: np.ndarray):
-    """Merge near-duplicate points and sort lexicographically by coordinates.
+    """Merge near-duplicate points and sort them by x, ties in merge-key order.
 
     Merging is grid-based at the MERGE_TOL scale: coordinates are quantized
     to multiples of the tolerance and equal keys collapse, summing weights.
@@ -341,4 +342,6 @@ def canonicalize_by_lexsort(points: np.ndarray, weights: np.ndarray):
     first = np.ones(len(keys), dtype=bool)
     first[1:] = np.any(keys[1:] != keys[:-1], axis=1)
     starts = np.flatnonzero(first)
-    return points[order[starts]], np.add.reduceat(weights[order], starts).astype(np.int64)
+    merged, weights = points[order[starts]], np.add.reduceat(weights[order], starts)
+    by_x = np.argsort(merged[:, 0], kind="stable")
+    return merged[by_x], weights[by_x].astype(np.int64)

@@ -374,16 +374,8 @@ def loop_inf_scan(pts, nxt, size, zlo, zhi):
     return best[1:]
 
 
-def x_ordered(q):
-    """``q`` with its points in stable order of x, as the reference scans need."""
-    order = np.argsort(q.points[:, 0], kind="stable")
-    return WeightedPointSet._from_canonical(q.points[order], q.weights[order])
-
-
 def loop_profiles(pts, schedule, nxt, level):
-    """Upper and lower profiles built from the reference scans, on x-ordered copies of the sets."""
-    pts = x_ordered(pts)
-    nxt = None if nxt is None else x_ordered(nxt)
+    """Upper and lower profiles built from the reference scans."""
     dim = pts.dim
     radius = np.max(np.abs(pts.points), axis=0)
     upper, lower = [], []
@@ -491,9 +483,10 @@ def test_blocked_sweep_equals_slab_loops(case, first, cells):
 
 @pytest.mark.parametrize("with_next", [False, True])
 def test_scans_of_a_set_whose_x_decreases_in_canonical_order(with_next):
-    # both x values round to merge key 0, so the y keys put (0, 0) first
+    # both x values round to merge key 0, so in merge-key order x would
+    # decrease from (0, 0) to its neighbour; canonical order is x order
     pts = WeightedPointSet([[0, 0], [-4.2827122692175913e-10, 1], [1, 1]])
-    assert pts.points[1, 0] < pts.points[0, 0]
+    assert pts.points.tolist() == [[-4.2827122692175913e-10, 1], [0, 0], [1, 1]]
     nxt = pts if with_next else None
     schedule = WindowSchedule((1.0,))
     upper, lower = sweep_profiles(pts, schedule, nxt, level=3)

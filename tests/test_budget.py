@@ -6,6 +6,8 @@ of ``units`` and refuse at ``units - 1`` with the one message template.  The
 kernels with the 2**15 floor also run below the floor at the least cap
 their inputs admit, and name the floor when a cap under it refuses them.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -163,3 +165,16 @@ def test_a_cap_below_the_floor_refuses_at_the_floor(kernel, command):
     with pytest.raises(BudgetExceeded) as refused:
         run(cap)
     assert str(refused.value) == message
+
+
+def test_a_level_far_past_the_cap_is_refused_without_building_its_mass():
+    # 2**100000000 alone takes 12.5 MB; the refusal needs only the exponent
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded) as refused:
+            expand_level(DOUBLING, 100_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(refused.value) == "expansion: 2**100000000 digit strings exceed cap 16777216"
+    assert peak < 2**20

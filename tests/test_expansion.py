@@ -64,6 +64,13 @@ def test_level_1_is_digit_set(collision_pair):
     assert pts.weights.tolist() == [1, 1, 1, 1]
 
 
+def test_level_1_is_stored_as_the_set_of_its_digits():
+    # x values 0 and 4e-10 share merge key 0: the digits' lexicographic order
+    # and merge-key order differ, and level 1 takes the order of every set
+    pair = validate_pair([[3, 0], [0, 3]], [[0, 0], [4e-10, 1], [0, 2]])
+    assert expand_level(pair, 1) == WeightedPointSet(pair.digits.vectors)
+
+
 def test_twin_dragon_level_4_matches_oracle(twin_dragon_pair):
     pts = expand_level(twin_dragon_pair, 4)
     oracle = brute_expansions(

@@ -21,6 +21,7 @@ PAIRS = {
     "evengrid": "dim 2\nmatrix\n2 0\n0 2\ndigits\n0 0\n2 0\n0 2\n2 2\n",
     "diagonal": "dim 2\nmatrix\n1 -1\n1 1\ndigits\n0 0\n1 1\n",
     "seven": "dim 1\nmatrix\n7\ndigits\n0\n1\n5\n",
+    "neartie": "dim 2\nmatrix\n3 0\n0 3\ndigits\n0 0\n4e-10 1\n0 2\n",
 }
 
 # (argv with {pair} placeholders, sha256 of stdout[, test id])
@@ -167,6 +168,11 @@ CORPUS = [
     (("sdensity", "{seven}", "--level", "6"),
      "7d0250fa9553569359b5b4236e6508c17886a3d1028ff7ea107bc8a1ce9dd244",
      "sdensity seven --level 6"),
+    # x values 0 and 4e-10 share merge key 0 without being equal: rows come
+    # by x, where merge-key order would put (4e-10, 1) between (0, 0) and (0, 2)
+    (("expand", "{neartie}", "--level", "2"),
+     "3c4806d47f16c2c022912b9f58d4070da98322fa19b000448e28945d15f27e60",
+     "expand neartie --level 2"),
 ]
 
 

@@ -1,4 +1,4 @@
-"""Package surface: exported names, import-time dependencies and one budget module."""
+"""Package surface: exported names, import-time dependencies, one budget module, one point order."""
 import ast
 import subprocess
 import sys
@@ -58,4 +58,19 @@ def test_budget_refusals_are_built_only_in_the_budget_module():
                 names.add(node.name)
             if "_MIN_BUDGET" in names:
                 found.append(f"{path.name}:{getattr(node, 'lineno', '?')} names _MIN_BUDGET")
+    assert found == []
+
+
+def test_points_are_ordered_only_in_the_pointset_module():
+    # every set is merged and ordered by pointset._canonicalize, reached through pointset alone
+    found = []
+    for path in sorted(Path(selfaffine.__file__).parent.rglob("*.py")):
+        if path.name == "pointset.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, ast.alias):
+                names.add(node.name)
+            for name in names & {"_canonicalize", "_from_canonical"}:
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')} names {name}")
     assert found == []

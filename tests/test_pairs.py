@@ -77,6 +77,12 @@ def test_duplicate_digit():
         validate_pair([[2.0]], [[0.0], [1.0], [1.0]])
 
 
+def test_near_duplicate_digits_that_are_not_lexicographic_neighbours():
+    # (1e-10, 5) sorts between (0, 0) and (2e-10, 0), which are 2e-10 apart
+    with pytest.raises(DuplicateDigit, match=r"^digits \[0\. 0\.\] and \[2\.e-10 0\.e\+00\] coincide$"):
+        validate_pair([[3, 0], [0, 3]], [[0, 0], [1e-10, 5], [2e-10, 0]])
+
+
 def test_digit_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         validate_pair([[2.0]], [[0.0, 0.0]])

@@ -7,8 +7,16 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from oracles import _prefix_sums as prefix_sums_by_copies
 from oracles import canonicalize_by_lexsort
+from strategies import small_pairs
 
-from selfaffine import EmptyPointSet, MERGE_TOL, WeightedPointSet, expand_level
+from selfaffine import (
+    EmptyPointSet,
+    MERGE_TOL,
+    WeightedPointSet,
+    discrete_convolve,
+    expand_level,
+    expand_levels,
+)
 from selfaffine.pointset import _canonicalize, _prefix_sums, prefix_weights, weight_in_interval
 
 
@@ -73,6 +81,14 @@ def test_equality_ignores_input_order():
     a = WeightedPointSet([3.0, 1.0, 2.0])
     b = WeightedPointSet([1.0, 2.0, 3.0])
     assert a == b
+
+
+def test_sets_that_compare_equal_are_unhashable():
+    a, b = WeightedPointSet([[0.0], [1.0]]), WeightedPointSet([[1.0], [0.0]])
+    assert a == b
+    # a hash by identity would keep two equal sets as two elements of a set
+    with pytest.raises(TypeError, match="unhashable"):
+        {a, b}
 
 
 def test_weight_at():
@@ -179,7 +195,8 @@ def test_merge_matches_grouping_by_key(rows):
         key = tuple(np.round(p / MERGE_TOL).astype(np.int64))
         rep, total = groups.get(key, (tuple(p), 0))
         groups[key] = (min(rep, tuple(p)), total + w)
-    expected = [groups[key] for key in sorted(groups)]
+    # canonical order: by the representative's x, ties in key order
+    expected = [groups[key] for key in sorted(groups, key=lambda key: (groups[key][0][0], key))]
     ps = WeightedPointSet(points, weights)
     assert [tuple(p) for p in ps.points] == [rep for rep, _ in expected]
     assert ps.weights.tolist() == [total for _, total in expected]
@@ -200,6 +217,28 @@ _clustered = st.one_of(
 
 def _merged_bits(points, weights):
     return points.dtype, points.shape, points.tobytes(), weights.dtype, weights.tobytes()
+
+
+def _near_tie_sets(dim):
+    """Sets whose coordinates cluster within the merge tolerance, so keys tie between unequal values."""
+    rows = st.lists(st.lists(_clustered, min_size=dim, max_size=dim), min_size=1, max_size=30)
+    return rows.map(WeightedPointSet)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_pairs(dims=(1, 2, 3)), st.integers(1, 4), st.data())
+def test_every_set_is_stored_by_x_then_by_merge_key(pair, k, data):
+    levels = list(expand_levels(pair, k))
+    assert levels[0] == WeightedPointSet(pair.digits.vectors)
+    near = data.draw(_near_tie_sets(pair.dim))
+    sets = [*levels, near, discrete_convolve(near, near), discrete_convolve(levels[-1], near)]
+    for ps in sets:
+        xs, keys = ps.points[:, 0], np.round(ps.points / MERGE_TOL).astype(np.int64).tolist()
+        assert np.all(xs[1:] >= xs[:-1])
+        assert all(keys[i] < keys[i + 1] for i in np.flatnonzero(xs[1:] == xs[:-1]))
+        # rebuilding a set from its own arrays changes no bit
+        again = WeightedPointSet(ps.points, ps.weights)
+        assert _merged_bits(again.points, again.weights) == _merged_bits(ps.points, ps.weights)
 
 
 @settings(max_examples=300, deadline=None)
