@@ -400,7 +400,7 @@ def osc_verdict(pair: SelfAffinePair, k: int, cap: int = DEFAULT_CAP) -> OscRepo
         seps = [s for _, s in separations]
         stabilized = len(seps) >= 3 and max(seps[-3:]) - min(seps[-3:]) <= SEPARATION_TOL
         sizes = trend_sizes(natural_schedule(pts).sizes)
-        profile = upper_density_profile(pts, WindowSchedule(sizes), level=k)
+        profile = upper_density_profile(pts, WindowSchedule(sizes), level=k, cap=cap)
         bounded = not trend_divergent([e.sup_value for e in profile.entries])
         if not bounded:
             verdict = VERDICT_FAILS

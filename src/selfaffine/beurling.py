@@ -56,7 +56,7 @@ import numpy as np
 
 from .errors import SingularMatrix, UnsupportedDimension, _enforce_budget
 from .expansion import DEFAULT_CAP
-from .pointset import _SCAN_CELLS, WeightedPointSet, _prefix_sums
+from .pointset import _SCAN_CELLS, _TABLE_SPAN, WeightedPointSet, _prefix_sums
 
 #: Relative tolerance for closed-window boundary membership.
 BOUNDARY_TOL = 1e-12
@@ -67,10 +67,6 @@ NATURAL_SCHEDULE_LEN = 9
 #: Low breaks in the first block of a lower scan's centres on one axis
 #: (``_center_blocks``); later blocks double up to ``_SCAN_CELLS``.
 _FIRST_LINE_BLOCK = 2**10
-
-#: Largest span of sorted integer coordinates, as a multiple of their count,
-#: that a 1-D scan reads off a rank table (``_rank_table``).
-_TABLE_SPAN = 8
 
 
 @dataclass(frozen=True)
@@ -328,21 +324,33 @@ def upper_density_profile(
     pts: WeightedPointSet,
     schedule: WindowSchedule,
     level: int | None = None,
+    cap: int = DEFAULT_CAP,
 ) -> DensityEstimate:
     """Exact sup of window mass / volume over all cube placements, per size.
 
     Ties in the argmax go to the lexicographically smallest window corner.
     A size whose volume underflows to 0 or overflows raises ``ValueError``.
     A 1-D set's rank table and prefix weights, and a 2-D set's distinct y
-    values and y-ranks, are built once for all sizes.
+    values and y-ranks, are built once for all sizes.  In 2-D each size
+    ranks (distinct corner x) x (distinct y) windows, a number that grows
+    with the square of the set; the windows of the sizes scanned so far
+    are counted against ``cap`` before each size's sweep
+    (``_enforce_budget``).  In 1-D a size ranks one window per point.
     """
     dim = _require_dim(pts, "upper_density_profile")
+    windows = 0
     if dim == 1:
         levels = (_rank_table(pts.points[:, 0]), _prefix_sums(pts.weights))
     else:
         levels = [(pts, *np.unique(pts.points[:, -1], return_inverse=True))]
+        xs = pts.points[:, 0]
+        windows = (1 + int(np.count_nonzero(xs[1:] != xs[:-1]))) * len(levels[0][1])
+    scanned = 0
 
     def entry(size, volume):
+        nonlocal scanned
+        scanned += windows
+        _enforce_budget("upper scan", scanned, cap)
         rank, corner = _first_least(_sup_blocks(pts, levels, size))
         return WindowEntry(size=size, sup_count=-rank, sup_value=-rank / volume,
                            argmax_center=tuple(x + size / 2 for x in corner))

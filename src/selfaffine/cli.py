@@ -207,12 +207,14 @@ def _cmd_expand(args) -> str:
 def _expand_blocks(pts):
     """The CSV rows of a point set as verbatim text, ``_EXPAND_BLOCK`` rows per string.
 
-    Each block is one %-template, the row's specs repeated once per row,
-    applied to the block's values laid out row by row.  A coordinate column
-    prints with ``%d`` when every value in it is an integer below 1e12 in
-    magnitude and none is -0.0, where ``%d`` prints what ``_cell`` prints,
-    and with ``%.12g``, the rule of ``_cell``, otherwise; weights print with
-    ``%d``.  No list of every row or of a whole column's strings is built.
+    A coordinate column prints with ``%d`` when every value in it is an
+    integer below 1e12 in magnitude and none is -0.0, where ``%d`` prints
+    what ``_cell`` prints, and with ``%.12g``, the rule of ``_cell``,
+    otherwise; weights print with ``%d``.  When every column prints with
+    ``%d``, a block is written by ``_int_rows``; otherwise it is one
+    %-template, the row's specs repeated once per row, applied to the
+    block's values laid out row by row.  No list of every row or of a whole
+    column's strings is built.
     """
     p = pts.points
     width = p.shape[1] + 1
@@ -224,11 +226,47 @@ def _expand_blocks(pts):
     for a in range(0, len(pts), _EXPAND_BLOCK):
         b = a + _EXPAND_BLOCK
         block = p[a:b]
+        if all(integral):
+            yield _int_rows([*block.T.astype(np.int64), pts.weights[a:b]])
+            continue
         values = [None] * (len(block) * width)
         for j, i in enumerate(integral):
             values[j::width] = (block[:, j].astype(np.int64) if i else block[:, j]).tolist()
         values[width - 1 :: width] = pts.weights[a:b].tolist()
         yield "\n".join([row] * len(block)) % tuple(values)
+
+
+def _int_rows(columns) -> str:
+    """Rows of equally long int64 columns as ``%d`` prints them, comma-separated, a row per line.
+
+    The text is built as a byte matrix with a column per row of output:
+    each value is written right-aligned, as wide as its column's longest
+    value, one decimal digit at a time from the last, and followed by its
+    separator.  A value's length is one digit more for each quotient still
+    nonzero, and one more for a minus sign before its first digit.  A mask
+    of each value's own characters, read row by row of output, selects the
+    text.
+    """
+    chars, keep = [], []
+    for j, v in enumerate(columns):
+        neg = v < 0
+        mag = np.abs(v).view(np.uint64)  # |v| even for -2**63, whose abs wraps to itself
+        width = len(str(int(mag.max()))) + bool(neg.any())
+        field = np.empty((width + 1, len(v)), dtype=np.uint8)
+        length = neg.astype(np.intp) + 1
+        for c in range(width - 1, -1, -1):
+            quotient = mag // 10
+            field[c] = mag - quotient * 10
+            mag = quotient
+            length += quotient != 0
+        field[:width] += ord("0")
+        field[width] = ord(",") if j + 1 < len(columns) else ord("\n")
+        minus = np.flatnonzero(neg)
+        field[width - length[minus], minus] = ord("-")
+        chars.append(field)
+        keep.append(np.arange(width + 1)[:, None] >= width - length)
+    text = np.concatenate(chars).T.copy()[np.concatenate(keep).T.copy()]
+    return text[:-1].tobytes().decode("ascii")
 
 
 def _cmd_check(args) -> str:
@@ -274,7 +312,7 @@ def _profiles(pair, args, verdict=False):
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     upper_schedule = WindowSchedule(trend_sizes(schedule.sizes)) if verdict else schedule
-    upper = upper_density_profile(pts, upper_schedule, level=args.level)
+    upper = upper_density_profile(pts, upper_schedule, level=args.level, cap=args.cap)
     try:
         nxt = _next_level(pair, pts, args.level, args.cap)
     except BudgetExceeded:
@@ -446,8 +484,9 @@ def _add_common(sub, pair=True, level=True):
         sub.add_argument("--level", required=True, type=_positive_int, help="expansion level k")
     sub.add_argument(
         "--cap", type=_positive_int, default=DEFAULT_CAP,
-        help="work budget: expansion mass, separation cell pairs, 2-D lower-scan windows,"
-        " tile-search cells, raster cells, chaos-game steps and renormalization box tests",
+        help="work budget: expansion mass, separation cell pairs, 2-D upper- and lower-scan"
+        " windows, tile-search cells, raster cells, chaos-game steps and renormalization box"
+        " tests",
     )
     sub.add_argument("-o", "--output", help="output file (default: standard output)")
 

@@ -87,6 +87,7 @@ _MIN_BUDGET = 2**15
 _BUDGETS = {
     "expansion": ("digit strings", False),
     "min separation": ("cell pairs", True),
+    "upper scan": ("candidate windows", True),
     "lower scan": ("candidate windows", False),
     "s-density scan": ("tile bounds and leaf cells", True),
     "dominance scan": ("tile bounds and leaf cells", True),

@@ -9,12 +9,22 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import BudgetExceeded, NotACollision, _enforce_budget, _enforce_power_budget
-from .pairs import SelfAffinePair
-from .pointset import _MERGE_SCALE_ERROR, WeightedPointSet, _merged
+from .pairs import SelfAffinePair, _is_integral
+from .pointset import (
+    _MAX_ABS_COORD,
+    _MERGE_SCALE_ERROR,
+    _TABLE_SPAN,
+    WeightedPointSet,
+    _from_counts,
+    _lattice_counts,
+    _merged,
+    _shifted_sum,
+)
 
 #: Default cap on total mass m**k of an enumeration.
 DEFAULT_CAP = 2**24
@@ -41,6 +51,120 @@ class CollisionWitness:
     observed_multiplicity: int | None
 
 
+def _on_lattice(pair: SelfAffinePair) -> bool:
+    """Whether a pair's levels may be held on the lattice (``_lattice_next``).
+
+    It must be 1-D and integral (``pairs._is_integral``) with no digit -0.0.
+    Every point of its levels is then an integer, exact while within the
+    merge scale, and none is -0.0, as a sum is -0.0 only when both terms
+    are, so the counts of a level on Z give its merged set bit for bit.
+    """
+    digits = pair.digits.vectors
+    return pair.dim == 1 and _is_integral(pair) and not np.any(np.signbit(digits) & (digits == 0))
+
+
+class _Lattice(NamedTuple):
+    """A level on the lattice, unsummed.
+
+    Its weight at lo + i, 0 <= i < span, is the sum of ``counts`` placed
+    at each of ``offsets`` (``pointset._shifted_sum``), held in ``dtype``.
+    """
+
+    lo: int
+    span: int
+    counts: np.ndarray
+    offsets: list[int]
+    dtype: type
+
+
+def _lattice_next(level, shifts: np.ndarray, k: int) -> _Lattice | None:
+    """Level k + 1 of a pair on the lattice, or None off its span rule.
+
+    ``level`` is level k, a set or on the lattice, and ``shifts`` its
+    translates B^k d, one per digit.  Level k + 1 is held on the lattice
+    when it lies within the merge scale on a span of at most
+    ``_TABLE_SPAN`` times its m n candidate rows.  It is then level k's
+    counts placed at m offsets, with no candidate row built; they are
+    summed, in int32 while the level's mass m**(k+1) stays below 2**31 and
+    in int64 beyond, only when the level is read: as a whole for the next
+    level, or a block at a time into a set (``pointset._from_counts``).
+    """
+    if isinstance(level, WeightedPointSet):
+        first, last = level.points[0, 0], level.points[-1, 0]
+        counts, rows = None, len(level)
+    else:
+        first, last = level.lo, level.lo + level.span - 1
+        counts = _shifted_sum(level.counts, level.offsets, 0, level.span, level.dtype)
+        rows = np.count_nonzero(counts)
+    m = len(shifts)
+    lo, hi = first + shifts.min(), last + shifts.max()
+    if max(-lo, hi) >= _MAX_ABS_COORD or hi - lo + 1 > _TABLE_SPAN * m * rows:
+        return None
+    dtype = np.int32 if m ** (k + 1) < 2**31 else np.int64
+    if counts is None:
+        first, counts = _lattice_counts(level, dtype)
+    offsets = (shifts[:, 0] - (lo - first)).astype(np.intp).tolist()
+    return _Lattice(int(lo), int(hi - lo) + 1, counts, offsets, dtype)
+
+
+def _as_set(level) -> WeightedPointSet:
+    """A level held as a set or on the lattice, as a set."""
+    return level if isinstance(level, WeightedPointSet) else _from_counts(*level)
+
+
+def _steps(pair: SelfAffinePair, level, k: int, cap: int):
+    """Levels k + 1, k + 2, ... of a pair from its level k, each a set or on the lattice.
+
+    Level j + 1 is level j translated by B^j d for every digit d, merging
+    coincident sums so weights count representations; total mass is
+    exactly m**(j+1).  Its budget is checked first.  B^j is the product of
+    j left multiplications by B, the same sequence at every level; a
+    product or sum past the float range is the merge scale error, as it
+    lies far past the merge scale.  Integral 1-D levels go on the lattice
+    where its span rule admits them (``_lattice_next``).  Otherwise the
+    candidates go digit by digit: in 1-D, x -> fl(x + c) is monotone, so
+    they are m sorted runs, which the merge (``pointset._merged``) takes in
+    about one pass.
+    """
+    m, b = pair.m, pair.matrix.entries
+    lattice = _on_lattice(pair)
+    power, products = np.eye(pair.dim), k
+    while True:
+        _enforce_power_budget("expansion", m, k + 1, cap)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                for _ in range(products):
+                    power = b @ power
+                shifts = pair.digits.vectors @ power.T
+                nxt = _lattice_next(level, shifts, k) if lattice else None
+                if nxt is None:
+                    pts = _as_set(level)
+                    new_pts = (shifts[:, None, :] + pts.points[None]).reshape(-1, pair.dim)
+                    nxt = _merged(new_pts, np.tile(pts.weights, m))
+        except FloatingPointError:
+            raise ValueError(_MERGE_SCALE_ERROR) from None
+        level = nxt
+        yield level
+        k, products = k + 1, 1
+
+
+def _levels(pair: SelfAffinePair, k: int, cap: int):
+    """Levels 1, ..., k, each a set or on the lattice, each budget checked as it is reached.
+
+    Level 1 is the digit set: on the lattice, level 0, the origin, placed
+    at every digit; otherwise the merged digits themselves, whose zero
+    keeps its sign.
+    """
+    _enforce_power_budget("expansion", pair.m, 1, cap)
+    digits = pair.digits.vectors
+    origin = _Lattice(0, 1, np.ones(1, dtype=np.int32), [0], np.int32)
+    level = _lattice_next(origin, digits, 0) if _on_lattice(pair) else None
+    if level is None:
+        level = _merged(digits, np.ones(pair.m, dtype=np.int64))
+    yield level
+    yield from itertools.islice(_steps(pair, level, 1, cap), k - 1)
+
+
 def expand_levels(pair: SelfAffinePair, k: int, cap: int = DEFAULT_CAP):
     """Yield the level-j expansion measure of a pair for j = 1, ..., k.
 
@@ -51,51 +175,27 @@ def expand_levels(pair: SelfAffinePair, k: int, cap: int = DEFAULT_CAP):
     """
     if k < 1:
         raise ValueError("level must be at least 1")
-    _enforce_power_budget("expansion", pair.m, 1, cap)
-    pts = _merged(pair.digits.vectors, np.ones(pair.m, dtype=np.int64))
-    yield pts
-    for level in range(1, k):
-        pts = _next_level(pair, pts, level, cap)
-        yield pts
+    for level in _levels(pair, k, cap):
+        yield _as_set(level)
 
 
 def _next_level(pair: SelfAffinePair, pts: WeightedPointSet, k: int, cap: int) -> WeightedPointSet:
-    """The level-(k+1) expansion measure from the level-k one.
-
-    It is the level-k set translated by B^k d for every digit d, merging
-    coincident sums so weights count representations; total mass is
-    exactly m**(k+1).  B^k is the product of k left multiplications by B,
-    the same sequence at every level.  The candidates go digit by digit:
-    in 1-D, x -> fl(x + c) is monotone, so they are m sorted runs, which
-    the merge (``pointset._merged``) takes in about one pass.
-    """
-    m = pair.m
-    _enforce_power_budget("expansion", m, k + 1, cap)
-    b = pair.matrix.entries
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            power = np.eye(pair.dim)
-            for _ in range(k):
-                power = b @ power
-            shifts = pair.digits.vectors @ power.T
-            new_pts = (shifts[:, None, :] + pts.points[None]).reshape(-1, pair.dim)
-            return _merged(new_pts, np.tile(pts.weights, m))
-    except FloatingPointError:
-        # a sum past the float range lies far past the merge scale
-        raise ValueError(_MERGE_SCALE_ERROR) from None
+    """The level-(k+1) expansion measure from the level-k one (``_steps``)."""
+    return _as_set(next(_steps(pair, pts, k, cap)))
 
 
 def expand_level(pair: SelfAffinePair, k: int, cap: int = DEFAULT_CAP) -> WeightedPointSet:
     """Enumerate the level-k expansion measure of a pair: the last level of ``expand_levels``.
 
-    The budget of level k is checked before any level is built.
+    The budget of level k is checked before any level is built.  Levels
+    below k on the lattice stay counts, never sets.
     """
     if k < 1:
         raise ValueError("level must be at least 1")
     _enforce_power_budget("expansion", pair.m, k, cap)
-    for pts in expand_levels(pair, k, cap):
+    for level in _levels(pair, k, cap):
         pass
-    return pts
+    return _as_set(level)
 
 
 def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -174,6 +174,11 @@ def validate_pair(matrix, digits) -> SelfAffinePair:
     return SelfAffinePair(matrix=mat, digits=digit_set, regime=regime)
 
 
+def _is_integral(pair: SelfAffinePair) -> bool:
+    """Whether B and every digit have integer entries, so that every expansion lies on Z^n."""
+    return all(np.array_equal(np.floor(a), a) for a in (pair.matrix.entries, pair.digits.vectors))
+
+
 def detect_similarity(pair: SelfAffinePair) -> SimilarityInfo:
     """Detect whether B is a similarity (B^T B proportional to the identity).
 

@@ -24,6 +24,12 @@ _LEAF = 8
 #: Counts held at once by one block of a blocked scan, or one batch of tile-search leaves.
 _SCAN_CELLS = 2**15
 
+#: Largest span of integer coordinates, as a multiple of the rows they are read
+#: for, that is held as a dense array: a 1-D scan's rank table
+#: (``beurling._rank_table``) or an expansion level's lattice counts
+#: (``expansion._lattice_next``).
+_TABLE_SPAN = 8
+
 
 def _canonicalize(points: np.ndarray, weights: np.ndarray):
     """Merge near-duplicate points and sort them into canonical order.
@@ -76,6 +82,46 @@ def _canonicalize(points: np.ndarray, weights: np.ndarray):
 def _merged(points: np.ndarray, weights: np.ndarray) -> "WeightedPointSet":
     """The set of computed points with int64 weights, merged (``_canonicalize``), unchecked."""
     return WeightedPointSet._from_canonical(*_canonicalize(points, weights))
+
+
+def _lattice_counts(pts: "WeightedPointSet", dtype) -> tuple[int, np.ndarray]:
+    """A 1-D set of integer points as counts on the lattice: (lo, counts), weight counts[i] at lo + i.
+
+    lo is the first point, so counts starts and ends with a nonzero count.
+    """
+    xs = pts.points[:, 0]
+    counts = np.zeros(int(xs[-1] - xs[0]) + 1, dtype=dtype)
+    counts[(xs - xs[0]).astype(np.intp)] = pts.weights
+    return int(xs[0]), counts
+
+
+def _shifted_sum(counts: np.ndarray, offsets: list[int], start: int, size: int, dtype) -> np.ndarray:
+    """Positions start, ..., start + size - 1 of the sum of ``counts`` placed at each offset."""
+    out = np.zeros(size, dtype=dtype)
+    for at in offsets:
+        lo, hi = max(start, at), min(start + size, at + len(counts))
+        if lo < hi:
+            out[lo - start : hi - start] += counts[lo - at : hi - at]
+    return out
+
+
+def _from_counts(lo: int, span: int, counts: np.ndarray, offsets: list[int], dtype) -> "WeightedPointSet":
+    """The 1-D set whose weight at lo + i, 0 <= i < span, is ``_shifted_sum`` at i, where nonzero.
+
+    The sum is built and read ``_SCAN_CELLS`` positions at a time, so no
+    span-sized array is held.  The points come out sorted and distinct, so
+    in canonical order, as float64 values: an integer point below 2**53 in
+    magnitude is exact, and its zero is +0.0.  The weights are int64.
+    """
+    points, weights = [], []
+    for start in range(0, span, _SCAN_CELLS):
+        block = _shifted_sum(counts, offsets, start, min(_SCAN_CELLS, span - start), dtype)
+        at = np.flatnonzero(block != 0)  # numpy finds the nonzeros of a bool mask faster
+        points.append(at + (lo + start))
+        weights.append(block[at])
+    return WeightedPointSet._from_canonical(
+        np.concatenate(points).astype(float)[:, None], np.concatenate(weights).astype(np.int64)
+    )
 
 
 class WeightedPointSet:

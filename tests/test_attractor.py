@@ -16,6 +16,7 @@ from selfaffine import (
     VERDICT_CONSISTENT,
     VERDICT_FAILS,
     VERDICT_UNDETERMINED,
+    BudgetExceeded,
     NoTrustedLowerEntry,
     NotATileCandidate,
     ResolutionTooSmall,
@@ -313,9 +314,19 @@ class TestOscVerdict:
     @given(small_pairs(), st.integers(1, 7))
     def test_equals_the_verdict_over_the_full_natural_profile(self, pair, k):
         got = osc_outcome(pair, k)
+        upper = attractor.upper_density_profile
+
+        def unbudgeted(pts, schedule, level, cap):
+            # 2-D sizes that the verdict need not scan may hold more windows than the budget
+            return upper(pts, schedule, level=level, cap=2**62)
+
         # the reference scans every natural size for trend_divergent
-        with mock.patch.object(attractor, "trend_sizes", lambda sizes: sizes):
-            assert got == osc_outcome(pair, k)
+        with mock.patch.object(attractor, "trend_sizes", lambda sizes: sizes), \
+             mock.patch.object(attractor, "upper_density_profile", unbudgeted):
+            ref = osc_outcome(pair, k)
+        # an upper scan past its budget stops the verdict, but only once it is reached
+        if not (got[0] is BudgetExceeded and got[1].startswith("upper scan:")):
+            assert got == ref
 
     def test_memory_is_bounded(self, twin_dragon_pair):
         osc_verdict(twin_dragon_pair, 3)  # first-call allocations stay out of the peak

@@ -19,8 +19,10 @@ from selfaffine import (
     cli,
     expand_level,
     lower_density_profile,
+    natural_schedule,
     natural_thresholds,
     sample_self_similar_measure,
+    upper_density_profile,
     upper_s_density_profile,
     errors,
     validate_pair,
@@ -58,6 +60,7 @@ def _cases(command):
     d10 = expand_level(DOUBLING, 10)
     crowded = _crowded()
     dragon6 = expand_level(TWIN_DRAGON, 6)
+    dragon12 = expand_level(TWIN_DRAGON, 12)
     sample = sample_self_similar_measure(DOUBLING, 20_000, seed=3)
     dragon = "dim 2\nmatrix\n1 -1\n1 1\ndigits\n0 0\n1 0\n"
     cantor = "dim 1\nmatrix\n3\ndigits\n0\n2\n"
@@ -70,6 +73,10 @@ def _cases(command):
         "min separation": (
             90_001, "min separation: 90001 cell pairs exceed cap 90000",
             lambda cap: _min_separation(crowded, cap),
+        ),
+        "upper scan": (
+            81_090, "upper scan: 81090 candidate windows exceed cap 81089",
+            lambda cap: upper_density_profile(dragon12, natural_schedule(dragon12), cap=cap),
         ),
         "lower scan": (
             150, "lower scan: 150 candidate windows exceed cap 149",
@@ -99,7 +106,7 @@ def _cases(command):
 
 
 KERNELS = [
-    "expansion", "min separation", "lower scan", "s-density scan", "dominance scan",
+    "expansion", "min separation", "upper scan", "lower scan", "s-density scan", "dominance scan",
     "renormalization check", "raster", "chaos game",
 ]
 
@@ -127,6 +134,10 @@ SMALL_RUNS = {
     "min separation": lambda: _min_separation(
         WeightedPointSet(np.random.default_rng(1).random((200, 2))), 1
     ),
+    # 64 points: at most 64 corner x by 64 y per size
+    "upper scan": lambda: upper_density_profile(
+        expand_level(TWIN_DRAGON, 6), WindowSchedule((1.0, 2.0, 4.0)), cap=1
+    ),
     "s-density scan": lambda: upper_s_density_profile(
         expand_level(CANTOR.pair(), 5), 1.0, [1.0, 4.0, 16.0, 64.0], cap=1
     ),
@@ -140,6 +151,8 @@ SMALL_RUNS = {
 #: Floored kernel: a cap under the floor, and the refusal at the floor.
 BELOW_FLOOR = {
     "min separation": (1, "min separation: 90001 cell pairs exceed cap 32768"),
+    # 9010 windows per size: the fourth size passes the floor
+    "upper scan": (1, "upper scan: 36040 candidate windows exceed cap 32768"),
     "s-density scan": (1, "s-density scan: 37541 tile bounds and leaf cells exceed cap 32768"),
     # the scan alone: the check's expansion of 2**10 points needs a cap of 1024
     "dominance scan": (1024, "dominance scan: 36176 tile bounds and leaf cells exceed cap 32768"),

@@ -461,6 +461,18 @@ def test_expand_memory_is_bounded(pair_file, tmp_path):
     assert peak <= 6 * 2**20
 
 
+def test_density_of_the_collision_pair_holds_no_candidate_rows(pair_file, tmp_path):
+    # levels 8 and 9 on the lattice: 7.6 MiB when each was merged from m n candidate rows
+    argv = ["density", "--pair", pair_file(COLLIDER), "--level", "8", "-o", str(tmp_path / "out")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * 2**20
+
+
 def test_missing_pair_file_is_usage_error():
     result = run("expand", "--pair", "/no/such/file", "--level", "2")
     assert result.returncode == 2
@@ -730,3 +742,40 @@ def test_expand_blocks_print_what_cell_prints(pts, block):
         blocks = list(_expand_blocks(pts))
     assert len(blocks) == -(-len(pts) // block)
     assert "\n".join(blocks).split("\n") == expected
+
+
+_int64_values = st.one_of(
+    st.integers(-(10**12 - 1), 10**12 - 1),
+    st.sampled_from([0, 1, -1, 10**12 - 1, -(10**12 - 1), 9, 10, -9, -10]),
+)
+
+
+@st.composite
+def integral_tables(draw):
+    """Point sets whose 1 to 3 coordinate columns all print with %d, with weights up to 2**62."""
+    dim, rows = draw(st.integers(1, 3)), draw(st.integers(1, 10))
+    points = draw(st.lists(st.lists(_int64_values, min_size=dim, max_size=dim),
+                           min_size=rows, max_size=rows))
+    weights = draw(st.lists(st.one_of(st.integers(1, 2**62), st.sampled_from([1, 10, 2**62])),
+                            min_size=rows, max_size=rows))
+    return WeightedPointSet._from_canonical(np.array(points, dtype=float), np.array(weights))
+
+
+@settings(max_examples=300, deadline=None)
+@given(integral_tables(), st.integers(1, 3))
+def test_integer_blocks_print_what_the_template_prints(pts, block):
+    row = ",".join(["%d"] * (pts.dim + 1))
+    values = [(*map(int, p), int(w)) for p, w in zip(pts.points, pts.weights)]
+    expected = [
+        "\n".join([row] * len(chunk)) % tuple(v for r in chunk for v in r)
+        for chunk in (values[a : a + block] for a in range(0, len(values), block))
+    ]
+    with mock.patch.object(cli, "_EXPAND_BLOCK", block):
+        assert list(_expand_blocks(pts)) == expected
+
+
+def test_int_rows_print_every_int64():
+    edges = np.array([0, 1, -1, 9, 10, -10, 2**63 - 1, -(2**63), 10**18, -(10**18) - 1])
+    columns = [edges, edges[::-1], np.zeros_like(edges)]
+    rows = [",".join(map(str, r)) for r in zip(*(c.tolist() for c in columns))]
+    assert cli._int_rows(columns) == "\n".join(rows)

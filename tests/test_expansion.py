@@ -1,8 +1,10 @@
 """Level-k expansion enumeration against independent brute-force oracles."""
 
 import itertools
+import re
 import warnings
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,8 +24,8 @@ from selfaffine import (
     osc_verdict,
     validate_pair,
 )
-from selfaffine import expansion
-from selfaffine.expansion import _min_separation, _next_level
+from selfaffine import expansion, pointset
+from selfaffine.expansion import DEFAULT_CAP, _min_separation, _next_level
 
 
 def brute_expansions(matrix, digits, k):
@@ -160,6 +162,136 @@ def test_float_overflow_is_the_merge_scale_error(matrix, digits):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="merge scale"):
             expand_level(pair, 3)
+
+
+def _point_major_levels(pair, k):
+    """Levels 1, ..., k, each the ``WeightedPointSet`` of the point-major candidates of the last.
+
+    Returns the levels built and the error that stopped the build, if any.
+    """
+    levels = [WeightedPointSet(pair.digits.vectors)]
+    power = np.eye(pair.dim)
+    try:
+        for _ in range(1, k):
+            with np.errstate(over="raise", invalid="raise"):
+                power = pair.matrix.entries @ power
+                shifts = pair.digits.vectors @ power.T
+                prev = levels[-1]
+                candidate = (prev.points[:, None, :] + shifts[None, :, :]).reshape(-1, pair.dim)
+            levels.append(WeightedPointSet(candidate, np.repeat(prev.weights, pair.m)))
+    except FloatingPointError:
+        return levels, ValueError(expansion._MERGE_SCALE_ERROR)
+    except ValueError as exc:
+        return levels, exc
+    return levels, None
+
+
+@st.composite
+def integral_line_pairs(draw):
+    """1-D integral pairs: b in +-2..+-6, a zero digit that may be -0.0, and up to three more.
+
+    Small digits collide, far ones leave gaps, and digits of 10**9 pass the
+    merge scale within a few levels.
+    """
+    b = draw(st.integers(2, 6)) * draw(st.sampled_from([-1, 1]))
+    digit = st.one_of(st.integers(-9, 9), st.integers(-60, 60), st.sampled_from([10**9, -(10**9)]))
+    digits = draw(st.lists(digit.filter(bool), min_size=1, max_size=3, unique=True))
+    zero = draw(st.sampled_from([0.0, -0.0]))
+    return validate_pair([[float(b)]], [[zero], *([float(d)] for d in digits)])
+
+
+def _bits_and_dtypes(pts):
+    return (*_bits(pts), pts.weights.dtype)
+
+
+@settings(max_examples=200, deadline=None)
+@given(integral_line_pairs(), st.integers(1, 6), st.sampled_from([3, 64, pointset._SCAN_CELLS]))
+def test_integral_levels_are_the_point_major_candidates_merged(pair, k, block):
+    # the lattice levels and the merged ones alike, bit for bit, and the same errors;
+    # a lattice level is read into a set ``block`` positions at a time
+    with mock.patch.object(pointset, "_SCAN_CELLS", block):
+        _check_integral_levels(pair, k)
+
+
+def _check_integral_levels(pair, k):
+    levels, error = _point_major_levels(pair, k)
+    expected = [_bits_and_dtypes(pts) for pts in levels]
+    streamed = []
+    try:
+        for pts in expand_levels(pair, k):
+            streamed.append(_bits_and_dtypes(pts))
+    except ValueError as exc:
+        assert error is not None and str(exc) == str(error)
+    assert streamed == expected
+    for j, pts in enumerate(levels, start=1):
+        assert _bits_and_dtypes(expand_level(pair, j)) == expected[j - 1]
+        if j < len(levels):
+            assert _bits_and_dtypes(_next_level(pair, pts, j, DEFAULT_CAP)) == expected[j]
+    if error is not None:
+        with pytest.raises(type(error), match=f"^{re.escape(str(error))}$"):
+            expand_level(pair, len(levels) + 1)
+        with pytest.raises(type(error), match=f"^{re.escape(str(error))}$"):
+            _next_level(pair, levels[-1], len(levels), DEFAULT_CAP)
+
+
+def test_a_minus_zero_digit_keeps_its_sign_at_level_1():
+    pair = validate_pair([[2.0]], [[-0.0], [1.0]])
+    for pts in (expand_level(pair, 1), next(expand_levels(pair, 1))):
+        assert np.signbit(pts.points[0, 0]) and pts.points[0, 0] == 0
+
+
+def test_an_integral_tile_builds_no_candidate_merge(doubling_pair):
+    # the lattice path sorts nothing, at every level and in the step past the last
+    with mock.patch.object(np, "argsort", side_effect=AssertionError("argsort called")):
+        pts = expand_level(doubling_pair, 16)
+        nxt = _next_level(doubling_pair, pts, 16, DEFAULT_CAP)
+    assert pts.total_mass == 2**16 and nxt.total_mass == 2**17
+    assert np.array_equal(nxt.coords(), np.arange(2**17))
+
+
+def test_the_cantor_set_leaves_the_lattice_at_level_6(cantor_pair_32, monkeypatch):
+    # span 3**k against 2**k rows: levels from 6 on are merged from sorted candidates
+    built = []
+    lattice_next = expansion._lattice_next
+
+    def recording(level, shifts, k):
+        lattice = lattice_next(level, shifts, k)
+        if lattice is not None:
+            built.append(k + 1)
+            assert k + 1 < 6, "a level past the span rule was built on the lattice"
+        return lattice
+
+    monkeypatch.setattr(expansion, "_lattice_next", recording)
+    pts = expand_level(cantor_pair_32, 16)
+    assert built == [1, 2, 3, 4, 5]
+    assert len(pts) == 2**16
+
+
+def test_lattice_counts_are_int32_below_2_to_the_31(monkeypatch):
+    dtypes = []
+    lattice_next = expansion._lattice_next
+
+    def recording(level, shifts, k):
+        lattice = lattice_next(level, shifts, k)
+        dtypes.append((k + 1, lattice.dtype))
+        return lattice
+
+    monkeypatch.setattr(expansion, "_lattice_next", recording)
+    # m = 2**11 digits: level 3 has mass 2**33
+    m = 2**11
+    pair = validate_pair([[2.0]], [[float(d)] for d in range(m)])
+    pts = expand_level(pair, 3, cap=2**33)
+    assert dtypes == [(1, np.int32), (2, np.int32), (3, np.int64)]
+    # the counts of level 3 are the convolution of the digits' indicators at scales 1, 2, 4
+    counts = np.ones(1, dtype=np.int64)
+    for j in range(3):
+        indicator = np.zeros(2**j * (m - 1) + 1, dtype=np.int64)
+        indicator[:: 2**j] = 1
+        counts = np.convolve(counts, indicator)
+    assert np.array_equal(pts.coords(), np.flatnonzero(counts))
+    assert pts.weights.dtype == np.int64
+    assert np.array_equal(pts.weights, counts[counts > 0])
+    assert pts.total_mass == 2**33
 
 
 def test_analyze_no_collision(doubling_pair):

@@ -22,6 +22,9 @@ PAIRS = {
     "diagonal": "dim 2\nmatrix\n1 -1\n1 1\ndigits\n0 0\n1 1\n",
     "seven": "dim 1\nmatrix\n7\ndigits\n0\n1\n5\n",
     "neartie": "dim 2\nmatrix\n3 0\n0 3\ndigits\n0 0\n4e-10 1\n0 2\n",
+    "negzero": "dim 1\nmatrix\n2\ndigits\n-0\n1\n",
+    "balanced": "dim 1\nmatrix\n-3\ndigits\n-1\n0\n1\n",
+    "gapped": "dim 1\nmatrix\n2\ndigits\n0\n3\n",
 }
 
 # (argv with {pair} placeholders, sha256 of stdout[, test id])
@@ -173,6 +176,17 @@ CORPUS = [
     (("expand", "{neartie}", "--level", "2"),
      "3c4806d47f16c2c022912b9f58d4070da98322fa19b000448e28945d15f27e60",
      "expand neartie --level 2"),
+    # integral 1-D levels: a -0 digit, which prints -0; negative digits
+    # under a negative matrix; a lattice with gaps; and a verdict over ten
+    # levels of a two-sided tile
+    (("expand", "{negzero}", "--level", "1"),
+     "245941e4718caa4b20a18facc82f4de2ace1a9798a847ce5dec5c8dc3505eb15"),
+    (("expand", "{balanced}", "--level", "6"),
+     "e803a2bbba1c4b15d323f882a2cde2d70a2a28eb69760f043aa9d817ea3716ef"),
+    (("density", "{gapped}", "--level", "10"),
+     "fe6519c1ba2a1526c9ea227654548b491c0c5439fa6dda923f3573986428fb4b"),
+    (("check", "{negabinary}", "--level", "10"),
+     "5e31eb62b19cb6156a0c0fbccf81736bea552c1013a75ee38c4c7d3e4f32e7fa"),
 ]
 
 
