@@ -21,9 +21,7 @@ from .pointset import (
     _TABLE_SPAN,
     WeightedPointSet,
     _from_counts,
-    _lattice_counts,
     _merged,
-    _shifted_sum,
 )
 
 #: Default cap on total mass m**k of an enumeration.
@@ -64,17 +62,13 @@ def _on_lattice(pair: SelfAffinePair) -> bool:
 
 
 class _Lattice(NamedTuple):
-    """A level on the lattice, unsummed.
+    """A level on the lattice: its weight at lo + i is counts[i], where nonzero.
 
-    Its weight at lo + i, 0 <= i < span, is the sum of ``counts`` placed
-    at each of ``offsets`` (``pointset._shifted_sum``), held in ``dtype``.
+    lo is its first point, so counts starts and ends with a nonzero count.
     """
 
     lo: int
-    span: int
     counts: np.ndarray
-    offsets: list[int]
-    dtype: type
 
 
 def _lattice_next(level, shifts: np.ndarray, k: int) -> _Lattice | None:
@@ -83,28 +77,31 @@ def _lattice_next(level, shifts: np.ndarray, k: int) -> _Lattice | None:
     ``level`` is level k, a set or on the lattice, and ``shifts`` its
     translates B^k d, one per digit.  Level k + 1 is held on the lattice
     when it lies within the merge scale on a span of at most
-    ``_TABLE_SPAN`` times its m n candidate rows.  It is then level k's
-    counts placed at m offsets, with no candidate row built; they are
-    summed, in int32 while the level's mass m**(k+1) stays below 2**31 and
-    in int64 beyond, only when the level is read: as a whole for the next
-    level, or a block at a time into a set (``pointset._from_counts``).
+    ``_TABLE_SPAN`` times its m n candidate rows.  A set is then scattered
+    onto the lattice, and level k's counts are added at each of the m
+    shifts, with no candidate row built, in int32 while the level's mass
+    m**(k+1) stays below 2**31 and in int64 beyond.
     """
     if isinstance(level, WeightedPointSet):
-        first, last = level.points[0, 0], level.points[-1, 0]
-        counts, rows = None, len(level)
+        xs = level.points[:, 0]
+        first, last, rows = xs[0], xs[-1], len(level)
     else:
-        first, last = level.lo, level.lo + level.span - 1
-        counts = _shifted_sum(level.counts, level.offsets, 0, level.span, level.dtype)
-        rows = np.count_nonzero(counts)
+        first, last = level.lo, level.lo + len(level.counts) - 1
+        rows = np.count_nonzero(level.counts)
     m = len(shifts)
     lo, hi = first + shifts.min(), last + shifts.max()
     if max(-lo, hi) >= _MAX_ABS_COORD or hi - lo + 1 > _TABLE_SPAN * m * rows:
         return None
     dtype = np.int32 if m ** (k + 1) < 2**31 else np.int64
-    if counts is None:
-        first, counts = _lattice_counts(level, dtype)
-    offsets = (shifts[:, 0] - (lo - first)).astype(np.intp).tolist()
-    return _Lattice(int(lo), int(hi - lo) + 1, counts, offsets, dtype)
+    if isinstance(level, WeightedPointSet):
+        counts = np.zeros(int(last - first) + 1, dtype=dtype)
+        counts[(xs - first).astype(np.intp)] = level.weights
+    else:
+        counts = level.counts
+    out = np.zeros(int(hi - lo) + 1, dtype=dtype)
+    for at in (shifts[:, 0] - (lo - first)).astype(np.intp).tolist():
+        out[at : at + len(counts)] += counts
+    return _Lattice(int(lo), out)
 
 
 def _as_set(level) -> WeightedPointSet:
@@ -157,7 +154,7 @@ def _levels(pair: SelfAffinePair, k: int, cap: int):
     """
     _enforce_power_budget("expansion", pair.m, 1, cap)
     digits = pair.digits.vectors
-    origin = _Lattice(0, 1, np.ones(1, dtype=np.int32), [0], np.int32)
+    origin = _Lattice(0, np.ones(1, dtype=np.int32))
     level = _lattice_next(origin, digits, 0) if _on_lattice(pair) else None
     if level is None:
         level = _merged(digits, np.ones(pair.m, dtype=np.int64))
@@ -168,10 +165,10 @@ def _levels(pair: SelfAffinePair, k: int, cap: int):
 def expand_levels(pair: SelfAffinePair, k: int, cap: int = DEFAULT_CAP):
     """Yield the level-j expansion measure of a pair for j = 1, ..., k.
 
-    Level 1 is the digit set; each later level is ``_next_level`` of the
-    one before.  The budget is checked as each level is reached:
-    BudgetExceeded names the first level whose mass exceeds ``cap``, after
-    every level below it was yielded.
+    Level 1 is the digit set; each later level is built from the one
+    before (``_steps``), a lattice level from its counts.  The budget is
+    checked as each level is reached: BudgetExceeded names the first level
+    whose mass exceeds ``cap``, after every level below it was yielded.
     """
     if k < 1:
         raise ValueError("level must be at least 1")

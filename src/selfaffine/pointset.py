@@ -49,7 +49,7 @@ def _canonicalize(points: np.ndarray, weights: np.ndarray):
     sort by x gives the permutation of the sort by key, then by x: equal x
     means equal key, and both sorts keep input order among equals.  Its
     timsort merges presorted runs instead of sorting them again, so an input
-    laid out as m sorted runs, as ``expansion._next_level`` builds it, costs
+    laid out as m sorted runs, as ``expansion._steps`` builds it, costs
     about one merge pass.  When no two sorted keys coincide, the points are
     the sorted column itself, with no gather by group starts.  The weights
     are returned as gathered or summed, with no further int64 copy.
@@ -84,44 +84,15 @@ def _merged(points: np.ndarray, weights: np.ndarray) -> "WeightedPointSet":
     return WeightedPointSet._from_canonical(*_canonicalize(points, weights))
 
 
-def _lattice_counts(pts: "WeightedPointSet", dtype) -> tuple[int, np.ndarray]:
-    """A 1-D set of integer points as counts on the lattice: (lo, counts), weight counts[i] at lo + i.
+def _from_counts(lo: int, counts: np.ndarray) -> "WeightedPointSet":
+    """The 1-D set whose weight at lo + i is counts[i], where nonzero.
 
-    lo is the first point, so counts starts and ends with a nonzero count.
+    The points come out sorted and distinct, so in canonical order, as
+    float64 values: an integer point below 2**53 in magnitude is exact, and
+    its zero is +0.0.  The weights are int64.
     """
-    xs = pts.points[:, 0]
-    counts = np.zeros(int(xs[-1] - xs[0]) + 1, dtype=dtype)
-    counts[(xs - xs[0]).astype(np.intp)] = pts.weights
-    return int(xs[0]), counts
-
-
-def _shifted_sum(counts: np.ndarray, offsets: list[int], start: int, size: int, dtype) -> np.ndarray:
-    """Positions start, ..., start + size - 1 of the sum of ``counts`` placed at each offset."""
-    out = np.zeros(size, dtype=dtype)
-    for at in offsets:
-        lo, hi = max(start, at), min(start + size, at + len(counts))
-        if lo < hi:
-            out[lo - start : hi - start] += counts[lo - at : hi - at]
-    return out
-
-
-def _from_counts(lo: int, span: int, counts: np.ndarray, offsets: list[int], dtype) -> "WeightedPointSet":
-    """The 1-D set whose weight at lo + i, 0 <= i < span, is ``_shifted_sum`` at i, where nonzero.
-
-    The sum is built and read ``_SCAN_CELLS`` positions at a time, so no
-    span-sized array is held.  The points come out sorted and distinct, so
-    in canonical order, as float64 values: an integer point below 2**53 in
-    magnitude is exact, and its zero is +0.0.  The weights are int64.
-    """
-    points, weights = [], []
-    for start in range(0, span, _SCAN_CELLS):
-        block = _shifted_sum(counts, offsets, start, min(_SCAN_CELLS, span - start), dtype)
-        at = np.flatnonzero(block != 0)  # numpy finds the nonzeros of a bool mask faster
-        points.append(at + (lo + start))
-        weights.append(block[at])
-    return WeightedPointSet._from_canonical(
-        np.concatenate(points).astype(float)[:, None], np.concatenate(weights).astype(np.int64)
-    )
+    at = np.flatnonzero(counts != 0)  # numpy finds the nonzeros of a bool mask faster
+    return WeightedPointSet._from_canonical((at + lo).astype(float)[:, None], counts[at].astype(np.int64))
 
 
 class WeightedPointSet:

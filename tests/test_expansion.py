@@ -24,7 +24,7 @@ from selfaffine import (
     osc_verdict,
     validate_pair,
 )
-from selfaffine import expansion, pointset
+from selfaffine import expansion
 from selfaffine.expansion import DEFAULT_CAP, _min_separation, _next_level
 
 
@@ -205,15 +205,9 @@ def _bits_and_dtypes(pts):
 
 
 @settings(max_examples=200, deadline=None)
-@given(integral_line_pairs(), st.integers(1, 6), st.sampled_from([3, 64, pointset._SCAN_CELLS]))
-def test_integral_levels_are_the_point_major_candidates_merged(pair, k, block):
-    # the lattice levels and the merged ones alike, bit for bit, and the same errors;
-    # a lattice level is read into a set ``block`` positions at a time
-    with mock.patch.object(pointset, "_SCAN_CELLS", block):
-        _check_integral_levels(pair, k)
-
-
-def _check_integral_levels(pair, k):
+@given(integral_line_pairs(), st.integers(1, 6))
+def test_integral_levels_are_the_point_major_candidates_merged(pair, k):
+    # the lattice levels and the merged ones alike, bit for bit, and the same errors
     levels, error = _point_major_levels(pair, k)
     expected = [_bits_and_dtypes(pts) for pts in levels]
     streamed = []
@@ -267,13 +261,36 @@ def test_the_cantor_set_leaves_the_lattice_at_level_6(cantor_pair_32, monkeypatc
     assert len(pts) == 2**16
 
 
+def test_the_check_stream_sums_each_lattice_level_once(doubling_pair, monkeypatch):
+    # each level's counts are summed as the level is built and read off as they were returned
+    built, read = [], []
+    lattice_next, from_counts = expansion._lattice_next, expansion._from_counts
+
+    def building(level, shifts, k):
+        lattice = lattice_next(level, shifts, k)
+        built.append(lattice.counts)
+        return lattice
+
+    def reading(*args):
+        read.append(args)
+        return from_counts(*args)
+
+    monkeypatch.setattr(expansion, "_lattice_next", building)
+    monkeypatch.setattr(expansion, "_from_counts", reading)
+    levels = list(expand_levels(doubling_pair, 12))
+    assert [pts.total_mass for pts in levels] == [2**j for j in range(1, 13)]
+    assert len(built) == len(read) == 12
+    for counts, args in zip(built, read):
+        assert len(args) == 2 and args[1] is counts
+
+
 def test_lattice_counts_are_int32_below_2_to_the_31(monkeypatch):
     dtypes = []
     lattice_next = expansion._lattice_next
 
     def recording(level, shifts, k):
         lattice = lattice_next(level, shifts, k)
-        dtypes.append((k + 1, lattice.dtype))
+        dtypes.append((k + 1, lattice.counts.dtype))
         return lattice
 
     monkeypatch.setattr(expansion, "_lattice_next", recording)
