@@ -49,6 +49,7 @@ from .cantor import (
     translation_dominance_check,
 )
 from .errors import (
+    DEFAULT_CAP,
     BudgetExceeded,
     DimensionMismatch,
     DuplicateDigit,
@@ -68,7 +69,6 @@ from .errors import (
     UnsupportedRegime,
 )
 from .expansion import (
-    DEFAULT_CAP,
     CollisionWitness,
     ExpansionReport,
     analyze_expansion,

@@ -27,6 +27,7 @@ from .beurling import (
     upper_density_profile,
 )
 from .errors import (
+    DEFAULT_CAP,
     NoTrustedLowerEntry,
     NotATileCandidate,
     ResolutionTooSmall,
@@ -35,7 +36,6 @@ from .errors import (
     UnsupportedRegime,
 )
 from .expansion import (
-    DEFAULT_CAP,
     CollisionWitness,
     analyze_expansion,
     collision_witness,

@@ -23,28 +23,18 @@ have, since later windows could only tie it.
 
 A 1-D window's count is a difference of prefix weights at its two edges,
 each found by one search of the sorted coordinates (a rank-table read or a
-binary search, see below); the lower scan searches the merged coordinates
-of a level and its next level once for both, which are the next level's
-own when they hold the level's.  In 2-D, with the points in their
-canonical order of x, those whose x lies in the window form a slab, a
-contiguous run of rows, and as the window moves right both ends of the run
-only advance.  One sliding-slab sweep per set (``_slab_sweeps``) therefore
-keeps each slab's weight per distinct y value up to date from the points
-entering and leaving, a block of slabs at a time, and a cumulative sum
-along y turns a block into window counts.  Counts are integers throughout
-and every boundary test is the float comparison a per-slab scan makes, so
-results, ties included, are exactly those of scanning slab by slab.
-
-A 1-D scan whose sorted coordinates are integers, all below 2**52 in
-magnitude, on a span of at most ``_TABLE_SPAN`` times their count (the
-lattice of an integral tile, filled almost without gaps) reads its window
-edges off a rank table, ``P[k] = #{v < v[0] + k}``, built once per
-profile.  For integer v, v < e exactly when v < ceil(e), and v <= e
-exactly when v < floor(e) + 1; ``ceil`` and ``floor`` of a double are
-exact, and so is integer arithmetic below 2**53, so each lookup returns
-what the binary search returns and every count, centre and tie is
-unchanged.  Any other set, and every 2-D scan, keeps the binary search;
-``_search`` alone chooses between the two.
+binary search, ``pointset._search``, the table built once per profile); the
+lower scan searches the merged coordinates of a level and its next level
+once for both, which are the next level's own when they hold the level's.
+In 2-D, with the points in their canonical order of x, those whose x lies
+in the window form a slab, a contiguous run of rows, and as the window
+moves right both ends of the run only advance.  One sliding-slab sweep per
+set (``_slab_sweeps``) therefore keeps each slab's weight per distinct y
+value up to date from the points entering and leaving, a block of slabs at
+a time, and a cumulative sum along y turns a block into window counts.
+Counts are integers throughout and every boundary test is the float
+comparison a per-slab scan makes, so results, ties included, are exactly
+those of scanning slab by slab.
 """
 from __future__ import annotations
 
@@ -54,9 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularMatrix, UnsupportedDimension, _enforce_budget
-from .expansion import DEFAULT_CAP
-from .pointset import _SCAN_CELLS, _TABLE_SPAN, WeightedPointSet, _prefix_sums
+from .errors import DEFAULT_CAP, SingularMatrix, UnsupportedDimension, _enforce_budget
+from .pointset import _SCAN_CELLS, WeightedPointSet, _prefix_sums, _rank_table, _search
 
 #: Relative tolerance for closed-window boundary membership.
 BOUNDARY_TOL = 1e-12
@@ -153,51 +142,6 @@ def _require_dim(pts: WeightedPointSet, op: str) -> int:
     if pts.dim not in (1, 2):
         raise UnsupportedDimension(f"{op} supports dimensions 1 and 2 only")
     return pts.dim
-
-
-def _rank_table(values: np.ndarray, limit: int | None = None):
-    """``P[k] = #{v < values[0] + k}`` over sorted values, or None when they do not qualify.
-
-    The values qualify when each is an integer below 2**52 in magnitude and
-    their span ``values[-1] - values[0] + 1`` is at most ``limit``; the
-    table then has span + 1 int32 entries.  The limit is the span a caller
-    can afford to build, by default ``_TABLE_SPAN`` times the count, which
-    the window scans' one lookup per point and window edge repays; a caller
-    that makes more lookups may afford more.
-    """
-    if limit is None:
-        limit = _TABLE_SPAN * len(values)
-    v0, v1 = float(values[0]), float(values[-1])
-    span = v1 - v0 + 1
-    if not (-(2.0**52) < v0 and v1 < 2.0**52 and span <= limit):
-        return None
-    if not np.array_equal(np.floor(values), values):
-        return None
-    # P[k] = i for offset(i - 1) < k <= offset(i), so count i repeats as often as
-    # the step between neighbouring offsets; the only span-sized array is the table
-    offsets = (values - v0).astype(np.intp)
-    steps = np.diff(offsets, prepend=-1, append=int(span))
-    return np.repeat(np.arange(len(values) + 1, dtype=np.int32), steps)
-
-
-def _search(values: np.ndarray, table, edges: np.ndarray, side: str) -> np.ndarray:
-    """``np.searchsorted(values, edges, side=side)``, read off ``table`` when there is one.
-
-    With a rank table (``_rank_table``) the count of values below e is
-    ``P[ceil(e) - v0]`` and of values up to e ``P[floor(e) + 1 - v0]``,
-    the index clipped to the table.  Both are exact for integer values.
-    """
-    if table is None:
-        return np.searchsorted(values, edges, side=side)
-    if side == "left":
-        k = np.ceil(edges)
-        k -= values[0]
-    else:
-        k = np.floor(edges)
-        k -= values[0] - 1
-    np.clip(k, 0, len(table) - 1, out=k)
-    # numpy gathers faster with intp indices than with the table's int32
-    return table[k.astype(np.intp)].astype(np.intp)
 
 
 def _slab_prefixes(q: WeightedPointSet, ranks, ny: int, lo, hi, rows: int):

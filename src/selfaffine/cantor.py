@@ -14,13 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beurling import _rank_table, _search
-from .errors import InvalidCoefficient
-from .expansion import DEFAULT_CAP, expand_level
+from .errors import DEFAULT_CAP, InvalidCoefficient
+from .expansion import expand_level
 from .pairs import SelfAffinePair, validate_pair
 from .pointset import (
     MERGE_TOL,
     _leaf_cells,
+    _rank_table,
+    _search,
     _tile_search,
     prefix_weights,
     weight_in_interval,

@@ -27,6 +27,7 @@ from .attractor import (
     render_raster,
 )
 from .beurling import (
+    NATURAL_SCHEDULE_LEN,
     WindowSchedule,
     _window_volumes,
     last_trusted_lower_profile,
@@ -43,10 +44,11 @@ from .cantor import (
     count_upto,
     translation_dominance_check,
 )
-from .errors import BudgetExceeded, ParseError, SelfAffineError, UnsupportedDimension
+from .errors import DEFAULT_CAP, BudgetExceeded, ParseError, SelfAffineError, UnsupportedDimension
 from .errors import _enforce_budget, _enforce_power_budget
-from .expansion import DEFAULT_CAP, _next_level, expand_level
+from .expansion import _next_level, expand_level
 from .pairs import REGIME_TILE, SelfAffinePair, detect_similarity, validate_pair
+from .pointset import _SCAN_CELLS
 from .sdensity import (
     ChaosGame,
     check_renormalization,
@@ -163,9 +165,6 @@ def _resolve_sizes(spec: str, natural) -> tuple[float, ...]:
 #: The printed form of a number: 12 significant digits.
 _g12 = "{:.12g}".format
 
-#: Rows of ``expand`` output formatted together, one block at a time.
-_EXPAND_BLOCK = 4096
-
 
 def _cell(v) -> str:
     """One printed value: 12 significant digits, true/false, (a b) for a point, '' for None."""
@@ -205,7 +204,7 @@ def _cmd_expand(args) -> str:
 
 
 def _expand_blocks(pts):
-    """The CSV rows of a point set as verbatim text, ``_EXPAND_BLOCK`` rows per string.
+    """The CSV rows of a point set as verbatim text, ``_SCAN_CELLS`` rows per string.
 
     A coordinate column prints with ``%d`` when every value in it is an
     integer below 1e12 in magnitude and none is -0.0, where ``%d`` prints
@@ -223,8 +222,8 @@ def _expand_blocks(pts):
         for c in p.T
     ]
     row = ",".join(["%d" if i else "%.12g" for i in integral] + ["%d"])
-    for a in range(0, len(pts), _EXPAND_BLOCK):
-        b = a + _EXPAND_BLOCK
+    for a in range(0, len(pts), _SCAN_CELLS):
+        b = a + _SCAN_CELLS
         block = p[a:b]
         if all(integral):
             yield _int_rows([*block.T.astype(np.int64), pts.weights[a:b]])
@@ -514,13 +513,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("density", help="upper/lower window-density profiles")
     _add_common(p)
-    p.add_argument("--windows", default="natural:9", help=_SCHEDULE_HELP)
+    p.add_argument("--windows", default=f"natural:{NATURAL_SCHEDULE_LEN}", help=_SCHEDULE_HELP)
     p.set_defaults(func=_cmd_density)
 
     p = sub.add_parser("sdensity", help="upper s-density profile over intervals")
     _add_common(p)
     p.add_argument("--s", type=float, default=None, help="override exponent s")
-    p.add_argument("--thresholds", default="natural:9", help=_SCHEDULE_HELP)
+    p.add_argument("--thresholds", default=f"natural:{NATURAL_SCHEDULE_LEN}", help=_SCHEDULE_HELP)
     p.set_defaults(func=_cmd_sdensity)
 
     p = sub.add_parser("cantor", help="closed forms for the two-digit family")
@@ -543,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify-origin", help="interior/boundary verdict at the origin")
     _add_common(p)
-    p.add_argument("--windows", default="natural:9", help=_SCHEDULE_HELP)
+    p.add_argument("--windows", default=f"natural:{NATURAL_SCHEDULE_LEN}", help=_SCHEDULE_HELP)
     p.set_defaults(func=_cmd_classify_origin)
 
     p = sub.add_parser("renorm-check", help="Monte Carlo renormalization identity check")

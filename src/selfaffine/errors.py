@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package, and the one work budget rule.
+"""Exception hierarchy shared across the package, and the one work budget rule and its default.
 
 Everything derives from :class:`SelfAffineError` so callers (and the CLI,
 which maps domain failures to exit code 1) can catch one base type.
@@ -78,6 +78,9 @@ class ParseError(SelfAffineError):
             message = f"line {line}: {message}"
         super().__init__(message)
 
+
+#: Default ``cap`` of every budgeted kernel (``_enforce_budget``), and of the CLI's ``--cap``.
+DEFAULT_CAP = 2**24
 
 #: Work a kernel with the floor may always do: a cap that admits a small
 #: level's mass, such as 2**8 at level 8, still admits that level's scans.

@@ -13,19 +13,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BudgetExceeded, NotACollision, _enforce_budget, _enforce_power_budget
+from .errors import DEFAULT_CAP, BudgetExceeded, NotACollision
+from .errors import _enforce_budget, _enforce_power_budget
 from .pairs import SelfAffinePair, _is_integral
 from .pointset import (
     _MAX_ABS_COORD,
     _MERGE_SCALE_ERROR,
+    _SCAN_CELLS,
     _TABLE_SPAN,
     WeightedPointSet,
     _from_counts,
     _merged,
 )
-
-#: Default cap on total mass m**k of an enumeration.
-DEFAULT_CAP = 2**24
 
 
 @dataclass(frozen=True)
@@ -204,18 +203,14 @@ def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-# Candidate pairs compared per batch, bounding memory on crowded cells.
-_PAIR_BATCH = 1 << 20
-
-
 def _min_over_pairs(pts, starts, a, b, counts):
     """Smallest squared distance between distinct points of cells a[i] and b[i]."""
     sizes = counts[a] * counts[b]
     ends = np.cumsum(sizes)
     total = int(ends[-1]) if len(ends) else 0
     best = np.inf
-    for lo in range(0, total, _PAIR_BATCH):
-        k = np.arange(lo, min(lo + _PAIR_BATCH, total))
+    for lo in range(0, total, _SCAN_CELLS):
+        k = np.arange(lo, min(lo + _SCAN_CELLS, total))
         r = np.searchsorted(ends, k, side="right")
         offset = k - (ends[r] - sizes[r])
         i = starts[a[r]] + offset // counts[b[r]]
@@ -335,8 +330,8 @@ def collision_witness(
     The witness is  sum_{j<copies} B^(k j) a ; concatenating either
     representation of ``point`` in each of the ``copies`` blocks yields
     2**copies distinct digit strings for it.  When the level copies*k
-    enumeration fits the cap the bound is verified by direct lookup;
-    otherwise the witness is returned unverified.
+    enumeration fits the cap and the merge scale the bound is verified by
+    direct lookup; otherwise the witness is returned unverified.
     """
     if copies < 1:
         raise ValueError("copies must be at least 1")
@@ -358,6 +353,10 @@ def collision_witness(
     try:
         observed = expand_level(pair, level, cap).weight_at(z)
     except BudgetExceeded:
+        observed = None
+    except ValueError as err:  # a level past the merge scale is left unverified too
+        if str(err) != _MERGE_SCALE_ERROR:
+            raise
         observed = None
     return CollisionWitness(
         point=z,

@@ -4,6 +4,17 @@ A :class:`WeightedPointSet` is the common currency of the package: digit
 expansions produce them, density scans consume them.  Construction
 canonicalizes, so two sets built from the same multiset of points compare
 equal regardless of input order.
+
+Sorted 1-D coordinates whose values are integers, all below 2**52 in
+magnitude, on a span a caller can afford, by default ``_TABLE_SPAN`` times
+their count (the lattice of an integral tile, filled almost without gaps),
+may be searched through a rank table, ``P[k] = #{v < v[0] + k}``
+(``_rank_table``), built once for many lookups.  For integer v, v < e exactly when v < ceil(e), and
+v <= e exactly when v < floor(e) + 1; ``ceil`` and ``floor`` of a double
+are exact, and so is integer arithmetic below 2**53, so each lookup returns
+what the binary search returns and every count, centre and tie is
+unchanged.  Any other set keeps the binary search; ``_search`` alone
+chooses between the two.
 """
 from __future__ import annotations
 
@@ -21,13 +32,15 @@ _MERGE_SCALE_ERROR = f"coordinate magnitude exceeds supported merge scale ({_MAX
 #: Anchors and right ends per side of a leaf tile of ``_tile_search``.
 _LEAF = 8
 
-#: Counts held at once by one block of a blocked scan, or one batch of tile-search leaves.
+#: Units every blocked kernel holds at once: the counts of one block of a
+#: window scan, the cells of one batch of tile-search leaves, the cell pairs
+#: of one batch of ``expansion._min_over_pairs`` and the rows of one block of
+#: ``expand`` output.
 _SCAN_CELLS = 2**15
 
 #: Largest span of integer coordinates, as a multiple of the rows they are read
-#: for, that is held as a dense array: a 1-D scan's rank table
-#: (``beurling._rank_table``) or an expansion level's lattice counts
-#: (``expansion._lattice_next``).
+#: for, that is held as a dense array: a 1-D rank table (``_rank_table``) or an
+#: expansion level's lattice counts (``expansion._lattice_next``).
 _TABLE_SPAN = 8
 
 
@@ -214,16 +227,55 @@ def prefix_weights(ps: WeightedPointSet) -> np.ndarray:
     return _prefix_sums(ps.weights)
 
 
-def _interval_counts(xs: np.ndarray, pref: np.ndarray, lows, highs):
-    """Weight in each closed [lows[i], highs[i]] of sorted points xs with prefix weights pref."""
-    lo = np.searchsorted(xs, lows, side="left")
-    hi = np.searchsorted(xs, highs, side="right")
-    return pref[hi] - pref[lo]
+def _rank_table(values: np.ndarray, limit: int | None = None):
+    """``P[k] = #{v < values[0] + k}`` over sorted values, or None when they do not qualify.
+
+    The values qualify when each is an integer below 2**52 in magnitude and
+    their span ``values[-1] - values[0] + 1`` is at most ``limit``; the
+    table then has span + 1 int32 entries.  The limit is the span a caller
+    can afford to build, by default ``_TABLE_SPAN`` times the count, which
+    the window scans' one lookup per point and window edge repays; a caller
+    that makes more lookups may afford more.
+    """
+    if limit is None:
+        limit = _TABLE_SPAN * len(values)
+    v0, v1 = float(values[0]), float(values[-1])
+    span = v1 - v0 + 1
+    if not (-(2.0**52) < v0 and v1 < 2.0**52 and span <= limit):
+        return None
+    if not np.array_equal(np.floor(values), values):
+        return None
+    # P[k] = i for offset(i - 1) < k <= offset(i), so count i repeats as often as
+    # the step between neighbouring offsets; the only span-sized array is the table
+    offsets = (values - v0).astype(np.intp)
+    steps = np.diff(offsets, prepend=-1, append=int(span))
+    return np.repeat(np.arange(len(values) + 1, dtype=np.int32), steps)
+
+
+def _search(values: np.ndarray, table, edges: np.ndarray, side: str) -> np.ndarray:
+    """``np.searchsorted(values, edges, side=side)``, read off ``table`` when there is one.
+
+    With a rank table (``_rank_table``) the count of values below e is
+    ``P[ceil(e) - v0]`` and of values up to e ``P[floor(e) + 1 - v0]``,
+    the index clipped to the table.  Both are exact for integer values.
+    """
+    if table is None:
+        return np.searchsorted(values, edges, side=side)
+    if side == "left":
+        k = np.ceil(edges)
+        k -= values[0]
+    else:
+        k = np.floor(edges)
+        k -= values[0] - 1
+    np.clip(k, 0, len(table) - 1, out=k)
+    # numpy gathers faster with intp indices than with the table's int32
+    return table[k.astype(np.intp)].astype(np.intp)
 
 
 def weight_in_interval(ps: WeightedPointSet, a: float, b: float, tol: float = MERGE_TOL) -> int:
     """Total weight in the closed interval [a, b] of a 1-D set."""
-    return int(_interval_counts(ps.coords(), prefix_weights(ps), a - tol, b + tol))
+    xs, pref = ps.coords(), prefix_weights(ps)
+    return int(pref[_search(xs, None, b + tol, "right")] - pref[_search(xs, None, a - tol, "left")])
 
 
 def _tile_search(n: int, drop, leaves, cap: int, kernel: str) -> None:

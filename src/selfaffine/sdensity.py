@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beurling import MeasureResult, _natural_ladder, _reciprocal_measure
-from .errors import DimensionMismatch, UnsupportedDimension, _enforce_budget
-from .expansion import DEFAULT_CAP, expand_level
+from .beurling import NATURAL_SCHEDULE_LEN, MeasureResult, _natural_ladder, _reciprocal_measure
+from .errors import DEFAULT_CAP, DimensionMismatch, UnsupportedDimension, _enforce_budget
+from .expansion import expand_level
 from .pairs import SelfAffinePair
 from .pointset import (
     WeightedPointSet,
@@ -75,7 +75,7 @@ class RenormCheck:
     stderr: float
 
 
-def natural_thresholds(pts: WeightedPointSet, count: int = 9):
+def natural_thresholds(pts: WeightedPointSet, count: int = NATURAL_SCHEDULE_LEN):
     """Geometric ratio-2 thresholds whose largest value is the support extent."""
     return _natural_ladder(pts, count, 1.0)
 

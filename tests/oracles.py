@@ -8,7 +8,7 @@
 * ``expand_level_afresh``: one level built from level 1
   (``expansion.expand_level`` is the last item of ``expand_levels``).
 * ``rank_table_by_counting``: the rank table through an int64 count and
-  cumulative sum (``beurling._rank_table`` repeats each count).
+  cumulative sum (``pointset._rank_table`` repeats each count).
 * ``chaos_game_1d_block_by_block``: the 1-D chaos game, one matrix-vector
   product per block (``sdensity._chaos_game_1d`` stacks them).
 * ``chaos_game_nd_step_by_step``: the n-D chaos game, one matrix-vector
@@ -46,7 +46,6 @@ from selfaffine.attractor import (
     RasterGrid,
     invariant_radius,
 )
-from selfaffine.beurling import _TABLE_SPAN
 from selfaffine.errors import (
     DimensionMismatch,
     ResolutionTooSmall,
@@ -58,6 +57,7 @@ from selfaffine.pairs import SelfAffinePair
 from selfaffine.pointset import (
     _MAX_ABS_COORD,
     _MERGE_SCALE_ERROR,
+    _TABLE_SPAN,
     MERGE_TOL,
     WeightedPointSet,
     _canonicalize,

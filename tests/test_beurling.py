@@ -30,9 +30,9 @@ from selfaffine import (
     upper_density_profile,
     validate_pair,
 )
-from selfaffine import beurling
+from selfaffine import beurling, pointset
 from selfaffine.beurling import BOUNDARY_TOL
-from selfaffine.pointset import _interval_counts, _prefix_sums
+from selfaffine.pointset import _prefix_sums
 
 TOL = 1e-12  # closed-window boundary tolerance, relative to window size
 
@@ -357,7 +357,8 @@ def loop_inf_scan(pts, nxt, size, zlo, zhi):
             lo = np.searchsorted(q.points[:, 0], lows[0][i], side="left")
             hi = np.searchsorted(q.points[:, 0], highs[0][i], side="right")
         line, pref = _sorted_slab(q.points, q.weights, lo, hi)
-        return _interval_counts(line, pref, lows[-1], highs[-1])
+        return (pref[np.searchsorted(line, highs[-1], side="right")]
+                - pref[np.searchsorted(line, lows[-1], side="left")])
 
     # stable windows rank before unstable ones, then by count, then first in scan order
     unstable_offset = pts.total_mass + 1
@@ -790,7 +791,7 @@ def search_cases(draw):
     tolerance away from it, far outside the span, and at -0.0.
     """
     n = draw(st.integers(1, 40))
-    span = draw(st.sampled_from([1, n, beurling._TABLE_SPAN * n, beurling._TABLE_SPAN * n + 1,
+    span = draw(st.sampled_from([1, n, pointset._TABLE_SPAN * n, pointset._TABLE_SPAN * n + 1,
                                  10 * n + 3]))
     start = draw(st.one_of(st.integers(-50, 50), st.integers(-(2**51), 2**51)))
     inner = draw(st.lists(st.integers(0, span - 1), min_size=max(0, n - 2), max_size=max(0, n - 2)))
@@ -808,7 +809,7 @@ def search_cases(draw):
 def test_rank_table_search_equals_binary_search(case):
     values, edges = case
     table = beurling._rank_table(values)
-    assert (table is None) == (values[-1] - values[0] + 1 > beurling._TABLE_SPAN * len(values))
+    assert (table is None) == (values[-1] - values[0] + 1 > pointset._TABLE_SPAN * len(values))
     for side in ("left", "right"):
         got = beurling._search(values, table, edges, side)
         assert np.array_equal(got, np.searchsorted(values, edges, side=side))

@@ -95,6 +95,18 @@ def test_check_reports_collision(pair_file):
     ]
 
 
+def test_check_prints_an_unverified_witness_past_the_merge_scale(pair_file):
+    # the witness's level 4 reaches about 8.1e9, past the merge scale
+    path = pair_file("dim 1\nmatrix\n300\ndigits\n0\n1\n300\n")
+    result = run("check", "--pair", path, "--level", "3")
+    assert result.returncode == 0
+    lines = result.stdout.splitlines()
+    assert lines[4:6] == [
+        "# witness: point=27000300 copies=2 bound=4 verified=false",
+        "OSC-fails: collision at point 300 (level 2)",
+    ]
+
+
 def test_check_separated_pair_is_consistent(pair_file):
     path = pair_file(CANTOR)
     result = run("check", "--pair", path, "--level", "6")
@@ -738,7 +750,7 @@ def test_expand_blocks_print_what_cell_prints(pts, block):
     expected = [
         ",".join(map(_cell, (*map(float, p), int(w)))) for p, w in zip(pts.points, pts.weights)
     ]
-    with mock.patch.object(cli, "_EXPAND_BLOCK", block):
+    with mock.patch.object(cli, "_SCAN_CELLS", block):
         blocks = list(_expand_blocks(pts))
     assert len(blocks) == -(-len(pts) // block)
     assert "\n".join(blocks).split("\n") == expected
@@ -770,7 +782,7 @@ def test_integer_blocks_print_what_the_template_prints(pts, block):
         "\n".join([row] * len(chunk)) % tuple(v for r in chunk for v in r)
         for chunk in (values[a : a + block] for a in range(0, len(values), block))
     ]
-    with mock.patch.object(cli, "_EXPAND_BLOCK", block):
+    with mock.patch.object(cli, "_SCAN_CELLS", block):
         assert list(_expand_blocks(pts)) == expected
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import re
+import tracemalloc
 import warnings
 from collections import Counter
 from unittest import mock
@@ -387,6 +388,16 @@ def test_witness_unverified_when_over_budget(collision_pair):
     assert w.observed_multiplicity is None
 
 
+def test_witness_unverified_past_the_merge_scale():
+    # 300 = 300 + 300 * 0 = 0 + 300 * 1 collides at level 2; its witness lies at
+    # level 4, whose points reach about 8.1e9, past the merge scale
+    pair = validate_pair([[300]], [[0], [1], [300]])
+    w = collision_witness(pair, [300.0], 2, copies=2)
+    assert (float(w.point[0]), w.level, w.bound) == (27000300.0, 4, 4)
+    assert not w.verified
+    assert w.observed_multiplicity is None
+
+
 def brute_min_separation(points):
     """O(n^2) minimum over all pairs, squared differences summed axis by axis."""
     i, j = np.triu_indices(len(points), 1)
@@ -473,6 +484,24 @@ def test_min_separation_refuses_crowded_cells_before_measuring_them(monkeypatch)
     with pytest.raises(BudgetExceeded, match=r"cell pairs exceed cap 100000"):
         analyze_expansion(pts, 2, 1, cap=100_000)
     assert calls == [len(pts) - 1] * pts.dim
+
+
+def test_min_separation_compares_crowded_cells_in_small_batches():
+    # the set above within the default cap: its four million cell pairs are
+    # compared _SCAN_CELLS at a time, not all at once
+    rng = np.random.default_rng(19)
+    pts = WeightedPointSet(np.concatenate([rng.random((2000, 2)) * 1e-6, rng.random((2000, 2)) * 3e9]))
+    # the brute-force minimum, one point against all later ones at a time
+    p = pts.points
+    expected = min(float(((p[i + 1 :] - p[i]) ** 2).sum(axis=1).min()) for i in range(len(p) - 1))
+    tracemalloc.start()
+    try:
+        sep = _min_separation(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sep == float(np.sqrt(expected))
+    assert peak < 16 * 2**20
 
 
 def test_osc_verdict_passes_its_cap_to_the_separation(monkeypatch, twin_dragon_pair):

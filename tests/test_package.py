@@ -1,4 +1,5 @@
-"""Package surface: exported names, import-time dependencies, one budget module, one point order."""
+"""Package surface: exported names, import-time dependencies, one budget module, one point order,
+one home per shared rule."""
 import ast
 import subprocess
 import sys
@@ -73,4 +74,33 @@ def test_points_are_ordered_only_in_the_pointset_module():
                 names.add(node.name)
             for name in names & {"_canonicalize", "_from_canonical"}:
                 found.append(f"{path.name}:{getattr(node, 'lineno', '?')} names {name}")
+    assert found == []
+
+
+def test_shared_rules_have_one_home():
+    # the budget default, the blocked kernels' size, the span rule and the 1-D line
+    # search are each defined once, in the module that owns them
+    homes = {"DEFAULT_CAP": "errors.py", "_SCAN_CELLS": "pointset.py", "_TABLE_SPAN": "pointset.py",
+             "_rank_table": "pointset.py", "_search": "pointset.py"}
+    found = []
+    for path in sorted(Path(selfaffine.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            for name in names:
+                if homes.get(name, path.name) != path.name:
+                    found.append(f"{path.name}:{node.lineno} defines {name}")
+                # cli and expansion block their work by _SCAN_CELLS, with no size of their own
+                if (path.name in ("cli.py", "expansion.py") and node in tree.body and name.isupper()
+                        and any(word in name for word in ("BLOCK", "BATCH", "CELLS", "CHUNK"))):
+                    found.append(f"{path.name}:{node.lineno} defines {name}")
+            if isinstance(node, ast.ImportFrom) and (path.name, node.module) in {
+                    ("beurling.py", "expansion"), ("cantor.py", "beurling")}:
+                found.append(f"{path.name}:{node.lineno} imports from .{node.module}")
     assert found == []
